@@ -1,14 +1,14 @@
-"""E16 -- chase substrate: the rescan oracle vs. the incremental strategy.
+"""E16 -- chase substrate: rescan vs. incremental vs. sharded vs. streaming.
 
-Six workloads compare the chase's two scheduling strategies head-to-head:
+Four workloads compare the chase's scheduling strategies head-to-head:
 
 * **successor-chain** -- the paper's non-terminating untyped successor td
   (every B-value must appear in column A of some row) chased on a growing
   chain ``v0 -> v1 -> ... -> vm`` under a step budget.  The active frontier
   is a single row per round while the tableau keeps growing, which is
-  exactly the shape the incremental trigger worklist exists for: rescan
-  pays a full re-enumeration of every homomorphism each round, the
-  incremental strategy only extends matches through the one new row.
+  exactly the shape the incremental trigger index exists for: rescan pays a
+  full re-enumeration of every homomorphism each round, the incremental
+  strategy only extends matches through the one new row.
 * **merge-cascade** -- a second chain ``w1 -> w2 -> ...`` anchored at the
   base chain's ``v0`` chased with the fd ``A -> B`` in egd form.  Exactly
   one merge fires per round (``w_i`` collapses into ``v_i``), and each merge
@@ -22,28 +22,35 @@ Six workloads compare the chase's two scheduling strategies head-to-head:
   chased on two rows agreeing on ``A1``.  The tableau *doubles* every round
   (2^(k-1) final rows), so almost every homomorphism routes through a
   recently-added row and the delta discipline can only tie rescan -- it is
-  kept as the honest worst case and as the regression guard that the
-  worklist bookkeeping never makes the chase *slower*.
+  kept as the honest worst case and as the regression guard that the index
+  bookkeeping never makes the chase *slower*.
 * **sharded-wide** -- many parallel 3-column chains chased with *six*
   dependencies at once (four untyped rotation tds plus the fds ``A -> B``
   and ``A -> C`` in egd form), so every round carries extension work for
-  every dependency through many changed rows, and the egd merges rewrite
-  rows the tds then extend through.  Wide rounds are where the incremental
-  strategy's once-per-round, barrier-batched discovery pays: a row touched
-  by several steps of one round is extended through once.  (The name is
-  kept from the retired sharded strategy, for cross-PR tracking.)
+  every dependency and the egd merges rewrite rows that every shard's tds
+  then extend through.  This is the workload the sharded strategy
+  partitions: per-dependency trigger discovery fans out across workers and
+  the per-shard results merge at the round barrier.  The streaming
+  strategy is measured on the same workload at the same shard counts --
+  same partition, but each step's delta is fed to the workers the moment
+  it applies, so discovery overlaps the round's tail instead of waiting
+  for the barrier.  The CI gate requires streaming to stay within noise
+  of (or beat) sharded here.
 * **checkpoint-overhead** -- the successor chain again, incremental, with
   and without the durable delta log (``CheckpointConfig(mode="on")``).
   The gated column: the log's buffered step appends and per-round flushes
   must cost <= 10% wall time, so checkpointing can stay on for the long
   budget-bound runs it exists for.
-* **kernel-wide** -- the same wide mix at 256 and 512 starting rows, where
-  the incremental strategy's columnar trigger kernel carries the
-  trigger-matching cost.
+* **kernel-wide** -- the same wide mix at 256 and 512 starting rows, chased
+  single-threaded, comparing the classic dict-probing matcher against the
+  columnar trigger kernel's two backends.  The numpy backend must beat the
+  classic matcher by >= 2x on the 512-row size (CI gate, skipped when the
+  ``[fast]`` extra is absent); the dependency-free bitset backend must stay
+  at >= 0.9x parity, so turning the kernel on without numpy never costs.
 
 Every timing is the **median of ``REPEATS`` runs after one warmup run**, so
 the CI regression gates compare medians instead of single noisy
-measurements.  Both strategies must produce byte-identical results on every
+measurements.  All strategies must produce byte-identical results on every
 workload (the suite asserts it).  Run the module directly to print a timing
 table and emit machine-readable ``benchmarks/BENCH_chase.json`` for
 cross-PR tracking::
@@ -52,6 +59,7 @@ cross-PR tracking::
 """
 
 import json
+import os
 import shutil
 import statistics
 import string
@@ -61,6 +69,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.chase import chase
+from repro.chase.strategies import (
+    IncrementalStrategy,
+    ShardedStrategy,
+    StreamingStrategy,
+)
 from repro.config import ChaseBudget, CheckpointConfig
 from repro.dependencies import (
     EqualityGeneratingDependency,
@@ -76,6 +89,13 @@ from repro.model.values import untyped
 AB = Universe.from_names("AB")
 ABC = Universe.from_names("ABC")
 
+try:
+    import numpy  # noqa: F401
+
+    HAVE_NUMPY = True
+except ImportError:
+    HAVE_NUMPY = False
+
 #: Timed runs per measurement (after one warmup); medians feed the gates.
 REPEATS = 3
 
@@ -84,9 +104,9 @@ SUCCESSOR_SIZES = [(16, 16), (32, 32), (64, 64), (96, 96)]
 MVD_SIZES = [4, 6, 8]
 CASCADE_SIZES = [32, 64, 96, 128]
 #: (parallel chains, chain length) pairs for the wide multi-dependency mix.
-WIDE_SIZES = [(4, 8), (6, 10), (8, 12)]
-#: (parallel chains, chain length) pairs for the wide mix at 256 and 512
-#: starting rows, under a shorter step budget.
+SHARDED_SIZES = [(4, 8), (6, 10), (8, 12)]
+#: (parallel chains, chain length) pairs for the kernel comparison; the last
+#: (64 chains x 8 links = 512 starting rows) is the gated headline size.
 KERNEL_WIDE_SIZES = [(32, 8), (64, 8)]
 SMOKE_SUCCESSOR = (48, 48)
 #: (chain length, step budget) for the checkpoint-overhead gate: long enough
@@ -94,6 +114,15 @@ SMOKE_SUCCESSOR = (48, 48)
 #: the way they do in the budget-bound runs checkpointing exists for.
 CHECKPOINT_GATE_SIZE = (192, 192)
 SMOKE_CASCADE = 64
+SMOKE_SHARDED = (8, 12)
+
+#: Shard counts the wide workload is measured at.
+SHARD_COUNTS = (2, 4)
+
+#: Auto-executor cut-over used for the wide workload: its bigger sizes cross
+#: this row count, so multi-CPU machines exercise the process pool while
+#: single-CPU ones keep the threaded fallback.
+SHARDED_PROCESS_THRESHOLD = 64
 
 
 def successor_chain_workload(length: int):
@@ -146,7 +175,7 @@ def mvd_chain_workload(k: int):
     return instance, tds
 
 
-def wide_workload(chains: int, length: int):
+def sharded_wide_workload(chains: int, length: int):
     """Wide multi-dependency mix: parallel chains, six dependencies at once.
 
     The instance holds ``chains`` disjoint 3-column chains
@@ -154,8 +183,9 @@ def wide_workload(chains: int, length: int):
     adding rows through every chain simultaneously (wide rounds: every round
     extends matches for every dependency through many changed rows), while
     the fds ``A -> B`` and ``A -> C`` in egd form merge the values those
-    freshly added rows agree on -- so the tds constantly extend through rows
-    an egd just rewrote.
+    freshly added rows agree on -- so shard-partitioned tds constantly
+    extend through rows the egd shard just rewrote, exercising the
+    round-barrier merge on overlapping values.
     """
     deps = []
     rotations = [
@@ -190,10 +220,15 @@ def run_strategy(instance, dependencies, strategy, max_steps=200000, repeats=REP
     """Chase under one strategy; the median wall time of ``repeats`` runs.
 
     One untimed warmup run precedes the measurements, so code-path priming
-    (imports, compile caches) never lands in a median and the CI gates stay
-    robust against one-off scheduler noise.
+    (imports, compile caches, worker pools) never lands in a median and the
+    CI gates stay robust against one-off scheduler noise.
+
+    The budget pins ``chase_kernel="off"`` so string-named strategies measure
+    the classic dict-probing matcher regardless of the ``REPRO_CHASE_KERNEL``
+    environment; kernel measurements pass explicit strategy *instances*
+    (which ignore the budget's kernel field) via :func:`compare_kernel`.
     """
-    budget = ChaseBudget(max_steps=max_steps, max_rows=200000)
+    budget = ChaseBudget(max_steps=max_steps, max_rows=200000, chase_kernel="off")
     result = chase(instance, dependencies, budget=budget, strategy=strategy)
     times = []
     for _ in range(repeats):
@@ -225,11 +260,65 @@ def compare(instance, dependencies, max_steps=200000, repeats=REPEATS):
     }
 
 
+def compare_sharded(
+    instance,
+    dependencies,
+    max_steps=200000,
+    shard_counts=SHARD_COUNTS,
+    repeats=REPEATS,
+):
+    """Run incremental + sharded + streaming; assert identity, time all.
+
+    ``shardedN_vs_incremental`` is the incremental/sharded median-time ratio
+    (> 1 means the shard fan-out wins); ``streamingN_vs_sharded`` is the
+    sharded/streaming ratio at the same shard count (> 1 means the
+    incremental delta feed beats the barrier-batched one).  The resolved
+    executor is recorded per strategy and shard count: multi-CPU machines
+    cross ``SHARDED_PROCESS_THRESHOLD`` into the process pool on the bigger
+    sizes, single-CPU machines keep the threaded fallback.
+    """
+    incremental, incremental_time = run_strategy(
+        instance, dependencies, "incremental", max_steps, repeats
+    )
+    entry = {
+        "final_rows": len(incremental.relation),
+        "steps": incremental.steps,
+        "status": incremental.status.value,
+        "incremental_s": round(incremental_time, 6),
+    }
+    for count in shard_counts:
+        for label, factory in (
+            ("sharded", ShardedStrategy),
+            ("streaming", StreamingStrategy),
+        ):
+            strategy = factory(
+                shard_count=count,
+                process_threshold=SHARDED_PROCESS_THRESHOLD,
+                kernel="off",
+            )
+            result, elapsed = run_strategy(
+                instance, dependencies, strategy, max_steps, repeats
+            )
+            assert result.relation == incremental.relation
+            assert result.status == incremental.status
+            assert result.steps == incremental.steps
+            assert dict(result.canon) == dict(incremental.canon)
+            entry[f"{label}{count}_s"] = round(elapsed, 6)
+            entry[f"{label}{count}_executor"] = strategy.executor
+            entry[f"{label}{count}_vs_incremental"] = round(
+                incremental_time / elapsed, 2
+            )
+        entry[f"streaming{count}_vs_sharded"] = round(
+            entry[f"sharded{count}_s"] / entry[f"streaming{count}_s"], 2
+        )
+    return entry
+
+
 def compare_checkpoint(length, steps, repeats=REPEATS):
     """Plain vs durably-logged incremental chase on the successor chain.
 
-    Both runs use the incremental strategy; the checkpointed run
-    additionally appends the schema-versioned delta log
+    Both runs use the incremental strategy with the classic matcher; the
+    checkpointed run additionally appends the schema-versioned delta log
     (header, per-round trigger lists, buffered steps, exhaustion snapshot,
     footer) to a scratch directory.  ``overhead_pct`` is the gated column:
     the durable log must cost <= 10% wall time on this workload, or
@@ -243,7 +332,12 @@ def compare_checkpoint(length, steps, repeats=REPEATS):
         return result, time.perf_counter() - start
 
     instance, deps = successor_chain_workload(length)
-    base = ChaseBudget(max_steps=steps, max_rows=200000, chase_strategy="incremental")
+    base = ChaseBudget(
+        max_steps=steps,
+        max_rows=200000,
+        chase_strategy="incremental",
+        chase_kernel="off",
+    )
     directory = tempfile.mkdtemp(prefix="bench-checkpoint-")
     try:
         durable = replace(
@@ -290,6 +384,51 @@ def compare_checkpoint(length, steps, repeats=REPEATS):
         shutil.rmtree(directory, ignore_errors=True)
 
 
+#: ``(chains, length, max_steps) -> report`` memo: the two kernel gates and
+#: the script-mode matrix share one measurement of the headline size.
+_KERNEL_REPORTS = {}
+
+
+def compare_kernel(chains, length, max_steps=120, repeats=REPEATS):
+    """Classic matcher vs the kernel's backends on the wide workload.
+
+    All runs are single-threaded ``IncrementalStrategy`` instances, so the
+    ratios isolate the trigger-matching substrate from executor effects.
+    Explicit ``kernel=`` pins on the instances make the measurement immune
+    to the ``REPRO_CHASE_KERNEL`` override CI uses to force the *default*
+    resolution.  The numpy column is present only when the ``[fast]`` extra
+    is installed; the bitset column always is.
+    """
+    key = (chains, length, max_steps)
+    cached = _KERNEL_REPORTS.get(key)
+    if cached is not None:
+        return cached
+    instance, deps = sharded_wide_workload(chains, length)
+    classic, classic_time = run_strategy(
+        instance, deps, IncrementalStrategy(kernel="off"), max_steps, repeats
+    )
+    entry = {
+        "final_rows": len(classic.relation),
+        "steps": classic.steps,
+        "status": classic.status.value,
+        "numpy_available": HAVE_NUMPY,
+        "classic_s": round(classic_time, 6),
+    }
+    backends = ["bitset"] + (["numpy"] if HAVE_NUMPY else [])
+    for backend in backends:
+        result, elapsed = run_strategy(
+            instance, deps, IncrementalStrategy(kernel=backend), max_steps, repeats
+        )
+        assert result.relation == classic.relation
+        assert result.status == classic.status
+        assert result.steps == classic.steps
+        assert dict(result.canon) == dict(classic.canon)
+        entry[f"{backend}_s"] = round(elapsed, 6)
+        entry[f"{backend}_vs_classic"] = round(classic_time / elapsed, 2)
+    _KERNEL_REPORTS[key] = entry
+    return entry
+
+
 # -- pytest entry points (the CI smoke; benchmarks/ is outside tier-1) --------
 
 
@@ -298,7 +437,7 @@ def test_strategies_agree_on_all_workloads():
     compare(*successor_chain_workload(12), max_steps=12, repeats=1)
     compare(*merge_cascade_workload(12), repeats=1)
     compare(*mvd_chain_workload(4), repeats=1)
-    compare(*wide_workload(3, 6), max_steps=40, repeats=1)
+    compare_sharded(*sharded_wide_workload(3, 6), max_steps=40, repeats=1)
 
 
 def test_incremental_beats_rescan_on_chain_smoke():
@@ -364,6 +503,72 @@ def test_mvd_chain_never_pathologically_slower():
     )
 
 
+def test_sharded_holds_up_on_wide_workload():
+    """The sharded regression gate (CI): no collapse below incremental.
+
+    Byte-identity is asserted inside ``compare_sharded``; this gate guards
+    the *cost* of the shard fan-out on the workload built for it.  A lost
+    delta, a smuggled full rescan, or duplicated shard work all blow the
+    median ratio well past these floors.  The bar is CPU-aware: with one
+    CPU the parallel enumeration cannot win (the threaded fallback merely
+    must stay close to sequential), with several the shard pool has to pull
+    its weight.
+    """
+    chains, length = SMOKE_SHARDED
+    instance, deps = sharded_wide_workload(chains, length)
+    report = compare_sharded(instance, deps, max_steps=220)
+    ratios = [report[f"sharded{count}_vs_incremental"] for count in SHARD_COUNTS]
+    # A pinned-thread candidate keeps the gate robust on loaded shared
+    # runners, where worker-process spawn + pipe traffic can briefly dominate
+    # this smoke-sized workload: the thread executor has no such overhead, so
+    # a genuine scheduling regression is the only way every candidate sinks.
+    threaded = ShardedStrategy(shard_count=2, executor="thread", kernel="off")
+    _, threaded_time = run_strategy(instance, deps, threaded, max_steps=220)
+    ratios.append(round(report["incremental_s"] / threaded_time, 2))
+    floor = 0.70 if (os.cpu_count() or 1) > 1 else 0.45
+    best = max(ratios)
+    assert best >= floor, (
+        f"sharded regressed to {best}x of incremental on the wide workload "
+        f"(floor {floor}, ratios {ratios}, report {report})"
+    )
+
+
+def test_streaming_within_noise_of_sharded_on_wide_workload():
+    """The streaming regression gate (CI): the incremental delta feed must
+    stay within noise of -- or beat -- the barrier-batched sharded feed on
+    the workload both partition.
+
+    Streaming does strictly more bookkeeping than sharded (per-delta
+    messages, a reorder buffer, mirror replay even in thread mode), and
+    pays it back by overlapping discovery with the round's tail.  If the
+    ratio collapses below the floor, the feed has lost the overlap (or
+    grown a pathological per-message cost) and this fails loudly.  The bar
+    is CPU-aware like the sharded gate: single-CPU hosts cannot overlap,
+    so the threaded pipeline merely must not collapse.
+    """
+    chains, length = SMOKE_SHARDED
+    instance, deps = sharded_wide_workload(chains, length)
+    report = compare_sharded(instance, deps, max_steps=220)
+    ratios = [report[f"streaming{count}_vs_sharded"] for count in SHARD_COUNTS]
+    # A pinned-thread pair keeps the gate robust on loaded shared runners
+    # (worker-process spawn noise hits both strategies, but not equally).
+    sharded_thread = ShardedStrategy(shard_count=2, executor="thread", kernel="off")
+    _, sharded_time = run_strategy(instance, deps, sharded_thread, max_steps=220)
+    streaming_thread = StreamingStrategy(
+        shard_count=2, executor="thread", kernel="off"
+    )
+    _, streaming_time = run_strategy(
+        instance, deps, streaming_thread, max_steps=220
+    )
+    ratios.append(round(sharded_time / streaming_time, 2))
+    floor = 0.70 if (os.cpu_count() or 1) > 1 else 0.45
+    best = max(ratios)
+    assert best >= floor, (
+        f"streaming regressed to {best}x of sharded on the wide workload "
+        f"(floor {floor}, ratios {ratios}, report {report})"
+    )
+
+
 def test_checkpoint_overhead_within_ten_percent():
     """The durability gate (CI): the delta log must cost <= 10% wall time.
 
@@ -380,6 +585,45 @@ def test_checkpoint_overhead_within_ten_percent():
         f"checkpointing costs {report['overhead_pct']}% on the {length}-link "
         f"successor chain (plain {report['plain_s'] * 1e3:.0f} ms, "
         f"checkpointed {report['checkpointed_s'] * 1e3:.0f} ms)"
+    )
+
+
+def test_kernel_beats_incremental_on_wide_workload():
+    """The kernel acceptance gate (CI): >= 2x over the classic matcher.
+
+    The columnar numpy backend exists to make wide rounds cheap; if it
+    cannot double the classic incremental matcher's throughput on the
+    512-row wide workload, the vectorized candidate intersection has
+    regressed into overhead and this fails loudly.
+    """
+    import pytest
+
+    if not HAVE_NUMPY:
+        pytest.skip("numpy not installed (the [fast] extra); no numpy backend")
+    chains, length = KERNEL_WIDE_SIZES[-1]
+    report = compare_kernel(chains, length)
+    assert report["numpy_vs_classic"] >= 2.0, (
+        f"numpy kernel only {report['numpy_vs_classic']}x vs the classic "
+        f"matcher on the {chains}x{length} wide workload "
+        f"(classic {report['classic_s'] * 1e3:.0f} ms, "
+        f"numpy {report['numpy_s'] * 1e3:.0f} ms)"
+    )
+
+
+def test_kernel_bitset_fallback_stays_at_parity():
+    """The zero-dependency floor (CI): the bitset backend must not cost.
+
+    ``kernel="on"`` without numpy falls back to the pure-Python bitset
+    backend; it is allowed to tie the classic matcher but never to collapse
+    below it, so enabling the kernel is always safe.
+    """
+    chains, length = KERNEL_WIDE_SIZES[-1]
+    report = compare_kernel(chains, length)
+    assert report["bitset_vs_classic"] >= 0.9, (
+        f"bitset kernel collapsed to {report['bitset_vs_classic']}x vs the "
+        f"classic matcher on the {chains}x{length} wide workload "
+        f"(classic {report['classic_s'] * 1e3:.0f} ms, "
+        f"bitset {report['bitset_s'] * 1e3:.0f} ms)"
     )
 
 
@@ -424,17 +668,20 @@ def full_matrix():
             "sizes": mvd_rows,
         }
     )
-    wide_rows = []
-    for chains, length in WIDE_SIZES:
-        instance, deps = wide_workload(chains, length)
-        wide_rows.append(
-            {"size": f"{chains}x{length}", **compare(instance, deps, max_steps=220)}
+    sharded_rows = []
+    for chains, length in SHARDED_SIZES:
+        instance, deps = sharded_wide_workload(chains, length)
+        sharded_rows.append(
+            {
+                "size": f"{chains}x{length}",
+                **compare_sharded(instance, deps, max_steps=220),
+            }
         )
     results["workloads"].append(
         {
             "name": "sharded_wide",
             "grows": "parallel chains x length (6 dependencies per round)",
-            "sizes": wide_rows,
+            "sizes": sharded_rows,
         }
     )
     checkpoint_rows = []
@@ -451,14 +698,13 @@ def full_matrix():
     )
     kernel_rows = []
     for chains, length in KERNEL_WIDE_SIZES:
-        instance, deps = wide_workload(chains, length)
         kernel_rows.append(
-            {"size": f"{chains}x{length}", **compare(instance, deps, max_steps=120)}
+            {"size": f"{chains}x{length}", **compare_kernel(chains, length)}
         )
     results["workloads"].append(
         {
             "name": "kernel_wide",
-            "grows": "parallel chains x length (256 and 512 starting rows)",
+            "grows": "parallel chains x length (columnar kernel vs classic)",
             "sizes": kernel_rows,
         }
     )
@@ -469,6 +715,26 @@ def main() -> None:
     results = full_matrix()
     for workload in results["workloads"]:
         print(f"\n{workload['name']} (growing {workload['grows']})")
+        if workload["name"] == "sharded_wide":
+            print(
+                f"{'size':>6} {'rows':>6} {'steps':>6} "
+                f"{'incremental':>12} {'sharded2':>10} {'sharded4':>10} "
+                f"{'stream2':>9} {'stream4':>9} {'stream-vs-shard':>15}"
+            )
+            for row in workload["sizes"]:
+                best_stream = max(
+                    row[f"streaming{count}_vs_sharded"] for count in SHARD_COUNTS
+                )
+                print(
+                    f"{row['size']:>6} {row['final_rows']:>6} {row['steps']:>6} "
+                    f"{row['incremental_s'] * 1e3:>10.1f}ms "
+                    f"{row['sharded2_s'] * 1e3:>8.1f}ms "
+                    f"{row['sharded4_s'] * 1e3:>8.1f}ms "
+                    f"{row['streaming2_s'] * 1e3:>7.1f}ms "
+                    f"{row['streaming4_s'] * 1e3:>7.1f}ms "
+                    f"{best_stream:>14.2f}x"
+                )
+            continue
         if workload["name"] == "checkpoint_overhead":
             print(
                 f"{'size':>6} {'rows':>6} {'steps':>6} "
@@ -480,6 +746,32 @@ def main() -> None:
                     f"{row['plain_s'] * 1e3:>8.1f}ms "
                     f"{row['checkpointed_s'] * 1e3:>11.1f}ms "
                     f"{row['overhead_pct']:>8.1f}%"
+                )
+            continue
+        if workload["name"] == "kernel_wide":
+            print(
+                f"{'size':>6} {'rows':>6} {'steps':>6} "
+                f"{'classic':>10} {'bitset':>10} {'numpy':>10} "
+                f"{'bitset-x':>9} {'numpy-x':>8}"
+            )
+            for row in workload["sizes"]:
+                numpy_s = (
+                    f"{row['numpy_s'] * 1e3:>8.1f}ms"
+                    if "numpy_s" in row
+                    else f"{'n/a':>10}"
+                )
+                numpy_x = (
+                    f"{row['numpy_vs_classic']:>7.2f}x"
+                    if "numpy_vs_classic" in row
+                    else f"{'n/a':>8}"
+                )
+                print(
+                    f"{row['size']:>6} {row['final_rows']:>6} {row['steps']:>6} "
+                    f"{row['classic_s'] * 1e3:>8.1f}ms "
+                    f"{row['bitset_s'] * 1e3:>8.1f}ms "
+                    f"{numpy_s} "
+                    f"{row['bitset_vs_classic']:>8.2f}x "
+                    f"{numpy_x}"
                 )
             continue
         print(

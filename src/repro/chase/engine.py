@@ -8,20 +8,28 @@ the same round may already have satisfied it.  Every applied step reports a
 when a round offers no trigger (``TERMINATED``) or when the step/row budget
 is exhausted (``BUDGET_EXHAUSTED``).
 
-**The strategy seam.**  Two strategies are provided:
+**The strategy seam.**  Four strategies are provided:
 
 * ``"rescan"`` re-enumerates all homomorphisms of all dependency bodies
   against the whole tableau every round (the historical engine, kept as the
   reference oracle);
 * ``"incremental"`` (the default, via ``"auto"``) maintains a per-dependency
-  trigger worklist updated from step deltas on the columnar trigger kernel,
-  so a round costs work proportional to what changed instead of to the
-  tableau size.
+  trigger worklist updated from step deltas, so a round costs work
+  proportional to what changed instead of to the tableau size;
+* ``"sharded"`` partitions the incremental worklist across
+  ``ChaseBudget.shard_count`` workers and merges their discoveries at each
+  round barrier, keeping results byte-identical to the sequential
+  strategies (the canonicalize/dedupe/sort below is the merge point);
+* ``"streaming"`` keeps the sharded partition but consumes the engine's
+  per-step delta publication incrementally: each applied step's delta is
+  forwarded to the shard workers immediately, so trigger discovery for the
+  next round overlaps the application of the current round's tail and the
+  barrier only drains results.
 
 Pick one with ``ChaseBudget(chase_strategy="rescan")`` (or the ``strategy``
 keyword of :class:`ChaseEngine` / :func:`chase`, which overrides the budget
 field).  Pin ``"rescan"`` when debugging: it is the simplest possible
-scheduler and the oracle the incremental strategy is differentially tested
+scheduler and the oracle the incremental index is differentially tested
 against.
 
 **The fairness invariant.**  Round-based scheduling is *fair*: every active
@@ -111,9 +119,12 @@ class ChaseEngine:
         size and carrying the default scheduling strategy (keyword-only;
         defaults to ``ChaseBudget()``).
     strategy:
-        Scheduling override: ``"rescan"``, ``"incremental"``, ``"auto"``, or
-        a :class:`~repro.chase.strategies.ChaseStrategy` instance.  ``None``
-        (the default) defers to ``budget.chase_strategy``.
+        Scheduling override: ``"rescan"``, ``"incremental"``, ``"sharded"``,
+        ``"streaming"``, ``"auto"``, or a
+        :class:`~repro.chase.strategies.ChaseStrategy` instance.  ``None``
+        (the default) defers to ``budget.chase_strategy``; the sharded and
+        streaming strategies read their worker count from
+        ``budget.shard_count``.
     max_steps, max_rows:
         Deprecated kwarg equivalents of ``budget``; explicit values override
         the corresponding budget fields.
@@ -183,7 +194,9 @@ class ChaseEngine:
         return make_strategy(
             self._strategy_choice
             if self._strategy_choice is not None
-            else self._budget.chase_strategy
+            else self._budget.chase_strategy,
+            shard_count=self._budget.shard_count,
+            kernel=self._budget.chase_kernel,
         )
 
     def run(self, instance: Relation) -> ChaseResult:
@@ -194,6 +207,12 @@ class ChaseEngine:
         try:
             return self._run(instance, state, strategy, writer=writer)
         finally:
+            # Strategies may hold worker processes or thread pools (the
+            # sharded strategy does); release them even on an error path.
+            # start() respawns, so a user-held instance stays reusable.
+            close = getattr(strategy, "close", None)
+            if close is not None:
+                close()
             if writer is not None:
                 # After a footer this is a no-op; on an exception path it
                 # leaves a footer-less (orphaned, resumable) log behind --
@@ -219,6 +238,9 @@ class ChaseEngine:
                 point.instance, point.state, strategy, writer=writer, resume=point
             )
         finally:
+            close = getattr(strategy, "close", None)
+            if close is not None:
+                close()
             if writer is not None:
                 writer.close()
 
@@ -267,7 +289,8 @@ class ChaseEngine:
                 # the live state exactly like the original run did, and the
                 # strategy then seeds its worklist from the post-tail
                 # tableau -- which provably reproduces the uninterrupted
-                # run's next round for every strategy.
+                # run's next round for every strategy (streaming included,
+                # whose delta feed would otherwise lag the tail by a round).
                 if writer is not None:
                     writer.round(rounds, resume.pending)
                 steps, exhausted = self._apply_round(
@@ -281,6 +304,11 @@ class ChaseEngine:
                     writer,
                 )
                 if exhausted:
+                    # Resolve the strategy's kernel label so the result is
+                    # byte-identical to a straight run cut at this step
+                    # (start() is cheap relative to a resume, and run()'s
+                    # finally closes whatever it spawns).
+                    strategy.start(state, self._compiled)
                     return self._budget_exhausted(
                         state, steps, rounds, trace, initial_values, strategy, writer
                     )
@@ -355,6 +383,10 @@ class ChaseEngine:
                 delta = apply_egd_step(
                     state, trigger.dependency, alpha, initial_values
                 )
+            # Publish the step's delta to the strategy *immediately*: a
+            # streaming strategy forwards it to its shard workers before
+            # the engine re-validates the next trigger, which is what
+            # lets next-round discovery overlap this round's tail.
             if strategy is not None:
                 strategy.observe(delta)
             steps += 1
@@ -476,6 +508,9 @@ class ChaseEngine:
             canon=canon,
             trace=tuple(trace),
             strategy=strategy.name,
+            # Strategies resolve their kernel backend in start(); anything
+            # without the attribute (custom strategies) ran the classic path.
+            kernel=getattr(strategy, "kernel", None) or "off",
             checkpoint=token,
         )
         for observer in tuple(_run_observers):
@@ -554,12 +589,12 @@ def resume_chase(
 
     The resumed run is byte-identical to an uninterrupted run under the
     final budget in every state-bearing field -- status, relation (fresh
-    names included), canon, steps, trace: the restored state replays
+    names included), canon, steps, trace, kernel: the restored state replays
     through the real step functions, the in-progress round's tail is applied
     first, and the strategy re-seeds from the post-tail tableau.  ``rounds``
     is scheduling bookkeeping and may undercount by one on termination (the
     uninterrupted run can end with an extra round listing only
-    already-satisfied triggers) -- the same caveat under which the two
+    already-satisfied triggers) -- the same caveat under which the four
     strategies are mutually byte-identical.  When checkpointing is on for
     the resumed run too, it writes a fresh self-contained log (resumes
     chain).

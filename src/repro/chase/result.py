@@ -64,6 +64,10 @@ class ChaseResult:
     strategy:
         Name of the scheduling strategy that produced the result
         (``"rescan"`` or ``"incremental"``; empty for hand-built results).
+    kernel:
+        The columnar trigger-matching backend the run resolved to
+        (``"numpy"`` / ``"bitset"``), ``"off"`` for the classic matcher,
+        empty for hand-built results.
     checkpoint:
         The resumable checkpoint token (the log segment's basename) when the
         run wrote a durable log and ended ``BUDGET_EXHAUSTED``; ``None``
@@ -79,6 +83,7 @@ class ChaseResult:
     canon: Mapping[Value, Value]
     trace: Sequence[ChaseStep] = field(default_factory=tuple)
     strategy: str = ""
+    kernel: str = ""
     checkpoint: Optional[str] = field(default=None, compare=False)
 
     def resolve(self, value: Value) -> Value:
@@ -146,6 +151,7 @@ class ChaseResult:
                 for entry in self.trace
             ],
             "strategy": self.strategy,
+            "kernel": self.kernel,
             "checkpoint": self.checkpoint,
         }
 
@@ -171,6 +177,7 @@ class ChaseResult:
                 for entry in payload.get("trace", [])
             ),
             strategy=payload.get("strategy", ""),
+            kernel=payload.get("kernel", ""),
             checkpoint=payload.get("checkpoint"),
         )
 

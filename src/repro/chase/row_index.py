@@ -7,12 +7,17 @@ made merge cascades (fd closures, egd-dense instances) quadratic even under
 the delta-driven scheduling of
 :class:`~repro.chase.strategies.IncrementalStrategy`.  :class:`RowIndex`
 makes the lookup O(|touched rows|): it maintains, alongside the tableau,
-``value_buckets`` -- for every value, the set of rows it occupies (any
-column) -- which egd merges pass to the
-:meth:`repro.model.relations.Relation.rows_containing` fast path to find
-the rows to rewrite.
 
-The buckets are insertion-ordered dicts used as ordered sets, so
+* ``value_buckets`` -- for every value, the set of rows it occupies (any
+  column); egd merges pass this to the
+  :meth:`repro.model.relations.Relation.rows_containing` fast path to find
+  the rows to rewrite;
+* ``attr_buckets`` -- the ``(attribute, value) -> rows`` index that
+  :func:`repro.model.valuations.homomorphisms` prunes candidate rows with;
+  the incremental strategy's partial-match extension shares this structure
+  instead of maintaining a private copy.
+
+Both bucket families use insertion-ordered dicts as ordered sets, so
 incremental eviction is O(1) and iteration order stays deterministic.  The
 index is kept in sync by :meth:`repro.chase.steps.ChaseState.advance`, which
 applies every :class:`~repro.chase.steps.StepDelta` to it as the step
@@ -34,22 +39,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (steps imports us)
 
 
 class RowIndex:
-    """A value -> rows index over one tableau.
+    """Value -> rows and (attribute, value) -> rows indexes over one tableau.
 
     Built with one scan of the relation; afterwards maintained purely from
     step deltas via :meth:`apply_delta`, so a merge's cost is proportional to
     the rows it touches, never to the tableau size.
     """
 
-    __slots__ = ("_attributes", "_value_buckets")
+    __slots__ = ("_attributes", "_attr_buckets", "_value_buckets")
 
     def __init__(self, relation: Relation) -> None:
         self._attributes: Tuple[Attribute, ...] = relation.universe.attributes
+        self._attr_buckets: Dict[Tuple[Attribute, Value], Dict[Row, None]] = {}
         self._value_buckets: Dict[Value, Dict[Row, None]] = {}
         for row in relation.rows:
             self.add_row(row)
 
     # -- views -----------------------------------------------------------------
+
+    @property
+    def attr_buckets(self) -> Dict[Tuple[Attribute, Value], Dict[Row, None]]:
+        """The (attribute, value) -> rows index ``homomorphisms(index=)`` takes."""
+        return self._attr_buckets
 
     @property
     def value_buckets(self) -> Dict[Value, Dict[Row, None]]:
@@ -60,19 +71,28 @@ class RowIndex:
 
     def add_row(self, row: Row) -> None:
         """Index one row (idempotent: re-adding an indexed row is a no-op)."""
-        value_buckets = self._value_buckets
-        for attr in self._attributes:
-            value_buckets.setdefault(row[attr], {})[row] = None
-
-    def discard_row(self, row: Row) -> None:
-        """Evict one row from every bucket it occupies (O(columns))."""
+        attr_buckets = self._attr_buckets
         value_buckets = self._value_buckets
         for attr in self._attributes:
             value = row[attr]
-            bucket = value_buckets.get(value)
+            attr_buckets.setdefault((attr, value), {})[row] = None
+            value_buckets.setdefault(value, {})[row] = None
+
+    def discard_row(self, row: Row) -> None:
+        """Evict one row from every bucket it occupies (O(columns))."""
+        attr_buckets = self._attr_buckets
+        value_buckets = self._value_buckets
+        for attr in self._attributes:
+            value = row[attr]
+            bucket = attr_buckets.get((attr, value))
             if bucket is not None:
                 bucket.pop(row, None)
                 if not bucket:
+                    del attr_buckets[(attr, value)]
+            vbucket = value_buckets.get(value)
+            if vbucket is not None:
+                vbucket.pop(row, None)
+                if not vbucket:
                     del value_buckets[value]
 
     def apply_delta(self, delta: "StepDelta") -> None:

@@ -165,7 +165,7 @@ class ChaseState:
 
     @property
     def row_index(self) -> RowIndex:
-        """The value -> rows index over the *current* tableau.
+        """The value/attribute -> rows index over the *current* tableau.
 
         Built on first access (the one unavoidable full scan) and maintained
         delta-by-delta through :meth:`advance` afterwards.  Identity-checked
@@ -258,13 +258,17 @@ def find_triggers(
     state: ChaseState,
     dependency: Union[ChaseDependency, CompiledDependency],
     limit: Optional[int] = None,
+    index: Optional[Dict] = None,
 ) -> Iterator[Trigger]:
     """Enumerate active triggers of ``dependency`` against the current tableau.
 
     Accepts either a raw td/egd or a pre-built :class:`CompiledDependency`
     (the engine compiles once per run and passes the compiled form here).
-    This is the reference matcher: the rescan strategy runs it every round,
-    and the incremental strategy's columnar kernel is tested against it.
+    ``index`` is an optional prebuilt (attribute, value) -> rows index of the
+    tableau (see :func:`repro.model.valuations.homomorphisms`); callers that
+    maintain one persistently -- the incremental strategy shares the
+    state-owned :attr:`ChaseState.row_index` buckets -- skip the per-call
+    indexing pass.
     """
     compiled = (
         dependency
@@ -275,7 +279,7 @@ def find_triggers(
     if not compiled.is_td and compiled.trivial:
         return
     count = 0
-    for alpha in homomorphisms(compiled.body, relation):
+    for alpha in homomorphisms(compiled.body, relation, index=index):
         if violates(compiled, alpha, relation):
             yield Trigger(compiled.dependency, alpha)
             count += 1

@@ -26,7 +26,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Literal, Mapping, Optional
+from typing import Literal, Mapping, Optional
 
 from repro.util.errors import ReproError
 
@@ -36,14 +36,21 @@ class ConfigError(ReproError):
 
 
 #: The recognised chase scheduling strategies (see :mod:`repro.chase.strategies`).
-CHASE_STRATEGIES = ("rescan", "incremental", "auto")
+CHASE_STRATEGIES = ("rescan", "incremental", "sharded", "streaming", "auto")
 
-ChaseStrategyName = Literal["rescan", "incremental", "auto"]
+#: Default worker count of the sharded and streaming strategies -- the single
+#: source shared by :class:`ChaseBudget`, its ``from_dict`` fallback, and
+#: ``make_strategy``.
+DEFAULT_SHARD_COUNT = 2
 
-#: Strategy names earlier releases accepted.  Serialized budgets that name
-#: one (checkpoint-log headers, ``ServiceConfig`` JSON) still load, as the
-#: incremental strategy: every strategy produced byte-identical results.
-_RETIRED_CHASE_STRATEGIES = ("sharded", "streaming")
+ChaseStrategyName = Literal["rescan", "incremental", "sharded", "streaming", "auto"]
+
+#: The recognised columnar-kernel modes (see :mod:`repro.chase.kernel`).
+#: Configuration restricts itself to the policy choices; the concrete
+#: backend (numpy vs pure-Python bitset) is resolved at strategy start-up.
+CHASE_KERNELS = ("auto", "on", "off")
+
+ChaseKernelMode = Literal["auto", "on", "off"]
 
 
 #: The recognised checkpointing modes (see :mod:`repro.chase.checkpoint`).
@@ -54,8 +61,8 @@ CHECKPOINT_MODES = ("auto", "on", "off")
 CheckpointMode = Literal["auto", "on", "off"]
 
 #: Environment override for default-"auto" checkpoint configurations,
-#: mirroring ``REPRO_CACHE_MODE``: ``on`` / ``off`` rewrite an "auto" mode.
-#: Explicit settings always win.
+#: mirroring ``REPRO_CHASE_KERNEL`` / ``REPRO_CACHE_MODE``: ``on`` / ``off``
+#: rewrite an "auto" mode.  Explicit settings always win.
 CHECKPOINT_ENV = "REPRO_CHECKPOINT"
 
 
@@ -76,9 +83,9 @@ class CheckpointConfig:
     mode:
         ``"on"`` writes a schema-versioned delta log for every chase run,
         ``"off"`` writes nothing, ``"auto"`` resolves to off unless the
-        ``REPRO_CHECKPOINT`` environment variable says otherwise (only
-        default-"auto" configs are rewritten, explicit settings always
-        win).
+        ``REPRO_CHECKPOINT`` environment variable says otherwise (the
+        ``REPRO_CHASE_KERNEL`` precedent: only default-"auto" configs are
+        rewritten, explicit settings always win).
     interval:
         How many applied steps between periodic :class:`ChaseState`
         snapshots inside the log.  Snapshots bound replay cost on resume;
@@ -148,6 +155,14 @@ def _check_strategy(name: str) -> None:
         )
 
 
+def _check_kernel(name: str) -> None:
+    if name not in CHASE_KERNELS:
+        raise ConfigError(
+            f"unknown chase kernel mode {name!r}; "
+            f"expected one of {', '.join(CHASE_KERNELS)}"
+        )
+
+
 @dataclass(frozen=True)
 class ChaseBudget:
     """Limits and scheduling choice for a single chase run.
@@ -161,10 +176,25 @@ class ChaseBudget:
     chase_strategy:
         Which trigger-scheduling strategy the engine uses: ``"rescan"``
         (re-enumerate every trigger each round; the reference oracle),
-        ``"incremental"`` (delta-driven trigger worklist on the columnar
-        trigger kernel), or ``"auto"`` (currently ``"incremental"``).
-        Both strategies produce the same chase result; pin ``"rescan"``
-        when debugging the incremental one.
+        ``"incremental"`` (delta-driven trigger index), ``"sharded"``
+        (the incremental worklist partitioned across ``shard_count``
+        workers, merged at each round barrier), ``"streaming"`` (the
+        sharded worklist fed delta-by-delta as the round applies, so
+        workers extend matches concurrently with the tail of the round),
+        or ``"auto"`` (currently ``"incremental"``).  All strategies
+        produce the same chase result; pin ``"rescan"`` when debugging
+        the trigger index.
+    shard_count:
+        How many workers the ``"sharded"`` and ``"streaming"`` strategies
+        partition the trigger worklist across.  Ignored by the other
+        strategies.
+    chase_kernel:
+        Whether trigger matching runs on the columnar kernel
+        (:mod:`repro.chase.kernel`): ``"auto"`` (the pure-Python bitset
+        backend; the default), ``"on"`` (numpy backend when available,
+        bitset backend otherwise), or ``"off"`` (classic dict-probing
+        matcher).  Ignored by ``"rescan"``.  Every setting produces
+        byte-identical chase results.
     checkpoint:
         Durable chase-log policy (:class:`CheckpointConfig`): whether the
         engine appends a schema-versioned delta log that a budget-exhausted
@@ -185,20 +215,20 @@ class ChaseBudget:
     max_steps: int = 2000
     max_rows: int = 5000
     chase_strategy: ChaseStrategyName = "auto"
+    shard_count: int = DEFAULT_SHARD_COUNT
+    chase_kernel: ChaseKernelMode = "auto"
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     deadline: Optional[float] = None
-
-    #: The trigger-matching backend, a constant rather than a setting: the
-    #: benchmark's environment stamp (``perfbench/run.py``) still reads
-    #: ``ChaseBudget().chase_kernel`` on every run.
-    chase_kernel: ClassVar[str] = "bitset"
 
     def __post_init__(self) -> None:
         if self.max_steps < 1:
             raise ConfigError("a chase budget needs max_steps >= 1")
         if self.max_rows < 1:
             raise ConfigError("a chase budget needs max_rows >= 1")
+        if self.shard_count < 1:
+            raise ConfigError("a chase budget needs shard_count >= 1")
         _check_strategy(self.chase_strategy)
+        _check_kernel(self.chase_kernel)
         if not isinstance(self.checkpoint, CheckpointConfig):
             raise ConfigError("checkpoint must be a CheckpointConfig")
         if self.deadline is not None and not isinstance(
@@ -246,25 +276,20 @@ class ChaseBudget:
             "max_steps": self.max_steps,
             "max_rows": self.max_rows,
             "chase_strategy": self.chase_strategy,
+            "shard_count": self.shard_count,
+            "chase_kernel": self.chase_kernel,
             "checkpoint": self.checkpoint.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ChaseBudget":
-        """Rebuild a budget from :meth:`to_dict` output (missing keys default).
-
-        Payloads written by earlier releases keep loading: their retired
-        worker-count and kernel-mode keys are ignored, and a retired
-        strategy name (``"sharded"`` / ``"streaming"``) loads as
-        ``"incremental"``.
-        """
-        strategy = payload.get("chase_strategy", "auto")
-        if strategy in _RETIRED_CHASE_STRATEGIES:
-            strategy = "incremental"
+        """Rebuild a budget from :meth:`to_dict` output (missing keys default)."""
         return cls(
             max_steps=payload.get("max_steps", 2000),
             max_rows=payload.get("max_rows", 5000),
-            chase_strategy=strategy,
+            chase_strategy=payload.get("chase_strategy", "auto"),
+            shard_count=payload.get("shard_count", DEFAULT_SHARD_COUNT),
+            chase_kernel=payload.get("chase_kernel", "auto"),
             checkpoint=CheckpointConfig.from_dict(payload.get("checkpoint", {})),
         )
 
@@ -329,7 +354,7 @@ CACHE_STORES = ("auto", "memory", "shared", "off")
 CacheStoreKind = Literal["auto", "memory", "shared", "off"]
 
 #: Environment override for default-"auto" cache configurations, mirroring
-#: ``REPRO_CHECKPOINT``: ``syntactic`` / ``canonical`` rewrite an "auto"
+#: ``REPRO_CHASE_KERNEL``: ``syntactic`` / ``canonical`` rewrite an "auto"
 #: mode, ``off`` rewrites an "auto" store.  Explicit settings always win.
 CACHE_MODE_ENV = "REPRO_CACHE_MODE"
 
@@ -393,7 +418,8 @@ class CacheConfig:
         """The concrete identity mode, honouring ``REPRO_CACHE_MODE``.
 
         Only default-"auto" configurations are rewritten by the
-        environment: explicitly pinned modes always win.
+        environment (the ``REPRO_CHASE_KERNEL`` precedent): explicitly
+        pinned modes always win.
         """
         if self.mode != "auto":
             return self.mode
@@ -472,10 +498,28 @@ class SolverConfig:
         """The chase scheduling strategy (lives on the chase budget)."""
         return self.chase.chase_strategy
 
-    def with_strategy(self, strategy: ChaseStrategyName) -> "SolverConfig":
-        """A copy pinning the chase scheduling strategy."""
+    def with_strategy(
+        self,
+        strategy: ChaseStrategyName,
+        shard_count: Optional[int] = None,
+        kernel: Optional[ChaseKernelMode] = None,
+    ) -> "SolverConfig":
+        """A copy pinning the chase scheduling strategy.
+
+        ``shard_count`` (only meaningful with ``"sharded"`` and
+        ``"streaming"``) sets how many workers the strategy partitions the
+        trigger worklist across; ``kernel`` pins the columnar
+        trigger-matching kernel (``"auto"`` / ``"on"`` / ``"off"``).
+        ``None`` keeps the budget's current value for either.
+        """
         _check_strategy(strategy)
-        return self.with_chase(chase_strategy=strategy)
+        overrides: dict = {"chase_strategy": strategy}
+        if shard_count is not None:
+            overrides["shard_count"] = shard_count
+        if kernel is not None:
+            _check_kernel(kernel)
+            overrides["chase_kernel"] = kernel
+        return self.with_chase(**overrides)
 
     def with_checkpoint(
         self,

@@ -148,9 +148,9 @@ def refute_finitely(
     budgeted chase: a terminating chase turns the seed into a genuine
     premise model, which is a counterexample whenever it still violates the
     conclusion.  The repair chase is scheduled per ``chase_budget`` (whose
-    ``chase_strategy`` field carries the scheduling choice; its step/row
-    caps are replaced by the repair's own small ones) or, when only a name
-    is at hand, per ``chase_strategy``.
+    ``chase_strategy`` / ``shard_count`` fields carry the scheduling choice;
+    its step/row caps are replaced by the repair's own small ones) or, when
+    only a name is at hand, per ``chase_strategy``.
     """
     warn_legacy_kwargs(
         "refute_finitely()",

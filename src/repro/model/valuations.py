@@ -189,11 +189,12 @@ def homomorphisms(
     limit:
         Stop after yielding this many homomorphisms (``None`` = no limit).
     index:
-        A prebuilt :func:`build_row_index` of ``target``, for callers that
-        probe one target many times and maintain the index across calls;
-        without it, the index is built once per target relation and cached
-        on it (relations are immutable), so repeated one-shot probes of the
-        same target stop paying an O(|target|) indexing pass each.
+        A prebuilt :func:`build_row_index` of ``target``.  Callers that probe
+        one target many times (the incremental chase strategy) maintain the
+        index across calls; without it, the index is built once per target
+        relation and cached on it (relations are immutable), so repeated
+        one-shot probes of the same target stop paying an O(|target|)
+        indexing pass each.
     """
     if source.universe != target.universe:
         raise TypingError("homomorphism search requires a common universe")

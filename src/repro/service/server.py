@@ -50,6 +50,7 @@ from repro.chase.checkpoint import (
     scan_resumable,
 )
 from repro.chase.engine import resume_chase
+from repro.chase.kernel import resolve_kernel
 from repro.config import ServiceConfig
 from repro.service import protocol
 from repro.service.access_log import AccessLog, worker_log_path
@@ -119,6 +120,13 @@ class SolverService:
             )
         self._solver = solver
         self._strategy = solver.config.chase.resolved_strategy()
+        # The trigger-matching backend this service's runs will use; rescan
+        # never consults the kernel, every other strategy resolves the
+        # configured mode (including the REPRO_CHASE_KERNEL override) once.
+        if self._strategy == "rescan":
+            self._kernel = "off"
+        else:
+            self._kernel = resolve_kernel(solver.config.chase.chase_kernel) or "off"
         self._checkpoint_mode = solver.config.chase.checkpoint.resolved_mode()
         self._checkpoint_dir = solver.config.chase.checkpoint.resolved_directory()
         self._recovered_orphans = 0
@@ -159,7 +167,7 @@ class SolverService:
         )
         self._latency = self._metrics.histogram(
             "solve_latency_seconds",
-            "per-request solve latency, by chase strategy",
+            "per-request solve latency, by chase strategy and kernel",
             LATENCY_BUCKETS,
         )
         self._chase_rounds = self._metrics.histogram(
@@ -463,8 +471,13 @@ class SolverService:
         self._saturation.labels().set(in_flight / capacity)
 
     def _observe_chase(self, result) -> None:
-        self._chase_rounds.labels(strategy=result.strategy).observe(result.rounds)
-        self._chase_steps.labels(strategy=result.strategy).inc(result.steps)
+        kernel = result.kernel or "off"
+        self._chase_rounds.labels(strategy=result.strategy, kernel=kernel).observe(
+            result.rounds
+        )
+        self._chase_steps.labels(strategy=result.strategy, kernel=kernel).inc(
+            result.steps
+        )
 
     # -- HTTP ------------------------------------------------------------------
 
@@ -671,6 +684,7 @@ class SolverService:
             ),
             "service": {
                 "strategy": self._strategy,
+                "kernel": self._kernel,
                 "cache_mode": self._solver.cache_mode,
                 "draining": self._draining,
                 "max_concurrent_batches": self._config.max_concurrent_batches,
@@ -789,6 +803,7 @@ class SolverService:
             else:
                 record["kind"] = "solve"
                 record["strategy"] = self._strategy
+                record["kernel"] = self._kernel
                 problem = self._solver.problem(
                     request.premises, request.conclusion, finite=request.finite
                 )
@@ -834,7 +849,7 @@ class SolverService:
             verdict = getattr(outcome, "verdict", None)
             if verdict is not None:
                 record["outcome"] = getattr(verdict, "value", str(verdict))
-            self._latency.labels(strategy=self._strategy).observe(
+            self._latency.labels(strategy=self._strategy, kernel=self._kernel).observe(
                 time.monotonic() - started
             )
             return 200, protocol.success_response(

@@ -66,6 +66,19 @@ BASE_RESPAWN_DELAY = 0.5
 #: How long a spawned worker gets to print its readiness line.
 READY_TIMEOUT = 60.0
 
+#: Serializes the supervisor's stderr lines.  One pump thread per worker
+#: forwards output concurrently, and ``print`` writes a line's text and its
+#: newline as two writes, so two workers turning ready at once could fuse
+#: their readiness lines into one.
+_STDERR_LOCK = threading.Lock()
+
+
+def _stderr_line(text: str) -> None:
+    """Write ``text`` and a newline to stderr as one whole, flushed line."""
+    with _STDERR_LOCK:
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
+
 
 def reuseport_available() -> bool:
     """Whether this platform can share a listening port via ``SO_REUSEPORT``."""
@@ -270,15 +283,10 @@ class Supervisor:
             line = line.rstrip("\n")
             if "service listening on" in line and not worker.ready.is_set():
                 worker.ready.set()
-                print(
-                    f"[supervisor] worker {worker.index} ready "
-                    f"(pid {process.pid})",
-                    file=sys.stderr,
-                    flush=True,
+                _stderr_line(
+                    f"[supervisor] worker {worker.index} ready (pid {process.pid})"
                 )
-            print(
-                f"[worker {worker.index}] {line}", file=sys.stderr, flush=True
-            )
+            _stderr_line(f"[worker {worker.index}] {line}")
         process.stdout.close()
 
     def _await_ready(self, timeout: float = READY_TIMEOUT) -> None:
@@ -311,12 +319,10 @@ class Supervisor:
                 self._restarts_total += 1
                 delay = self.respawn_delay(worker.restarts)
                 worker.respawn_at = now + delay
-                print(
+                _stderr_line(
                     f"[supervisor] worker {worker.index} "
                     f"(pid {worker.process.pid}) exited with "
-                    f"{worker.process.returncode}; respawning in {delay:.1f}s",
-                    file=sys.stderr,
-                    flush=True,
+                    f"{worker.process.returncode}; respawning in {delay:.1f}s"
                 )
             if worker.respawn_at is not None and now >= worker.respawn_at:
                 self._spawn(worker)

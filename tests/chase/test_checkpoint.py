@@ -6,8 +6,8 @@ chase randomized td/egd mixes (the shared ``random_case`` generator, every
 case of which applies at least one step), cut each run at several step
 budgets, resume from the durable log, and require the resumed result to
 match the uninterrupted run in every state-bearing field -- status,
-relation (fresh names included), canon, steps, trace -- under both
-strategies.  ``rounds`` is scheduling bookkeeping excluded here for the
+relation (fresh names included), canon, steps, trace, kernel -- under all
+four strategies.  ``rounds`` is scheduling bookkeeping excluded here for the
 same reason the cross-strategy differential suite excludes it.
 
 The loud-failure half: truncated, corrupted, wrong-schema and completed
@@ -19,7 +19,6 @@ budget on demand.
 
 import json
 import os
-import shutil
 from dataclasses import replace
 
 import pytest
@@ -54,8 +53,8 @@ from repro.util.errors import ChaseBudgetExceeded, ReproError
 
 AB = Universe.from_names("AB")
 
-#: strategy x seed pairs: 140 genuine kill-and-resume mixes.
-STRATEGIES = ("rescan", "incremental")
+#: strategy x seed pairs: 280 genuine kill-and-resume mixes.
+STRATEGIES = ("rescan", "incremental", "sharded", "streaming")
 SEEDS = range(70)
 
 
@@ -77,7 +76,14 @@ def _assert_resumed_matches(resumed, straight, label):
     assert dict(resumed.canon) == dict(straight.canon), label
     assert resumed.steps == straight.steps, label
     assert tuple(resumed.trace) == tuple(straight.trace), label
+    assert resumed.kernel == straight.kernel, label
     assert resumed.strategy == straight.strategy, label
+
+
+def _strategy_budget(budget: ChaseBudget, strategy: str) -> ChaseBudget:
+    if strategy in ("sharded", "streaming"):
+        return replace(budget, chase_strategy=strategy, shard_count=2)
+    return replace(budget, chase_strategy=strategy)
 
 
 # -- the kill-and-resume property suite ---------------------------------------
@@ -88,7 +94,7 @@ class TestKillAndResume:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_resume_matches_straight_run(self, tmp_path, seed, strategy, random_case):
         instance, deps, budget = random_case(seed)
-        budget = replace(budget, chase_strategy=strategy)
+        budget = _strategy_budget(budget, strategy)
         straight = chase(instance, deps, budget=budget, trace=True)
         total = straight.steps
         assert total >= 1, f"seed={seed}: the case applies no steps"
@@ -433,11 +439,6 @@ class TestCommittedFixture:
     """
 
     def test_fixture_loads_and_reports_its_state(self):
-        with open(FIXTURE, encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-        # Written before the worker-count and kernel-mode settings were
-        # retired: loading must ignore both keys.
-        assert {"shard_count", "chase_kernel"} <= set(header["budget"])
         point = load_checkpoint(FIXTURE)
         assert point.schema == 1
         assert point.steps == 3
@@ -450,22 +451,3 @@ class TestCommittedFixture:
         point = load_checkpoint(FIXTURE)
         resumed = resume_chase(point, budget=ChaseBudget(max_steps=6))
         _assert_resumed_matches(resumed, straight, "committed v1 fixture")
-
-    def test_retired_strategy_header_resumes_as_incremental(self, tmp_path):
-        """A log written under a retired strategy name resumes incrementally."""
-        path = tmp_path / os.path.basename(FIXTURE)
-        shutil.copy(FIXTURE, path)
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        header = json.loads(lines[0])
-        header["budget"]["chase_strategy"] = "sharded"
-        lines[0] = json.dumps(header) + "\n"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
-        instance, deps = _chain_case()
-        straight = chase(instance, deps, budget=ChaseBudget(max_steps=6), trace=True)
-        point = load_checkpoint(str(path))
-        assert point.budget.chase_strategy == "incremental"
-        resumed = resume_chase(point, budget=replace(point.budget, max_steps=6))
-        assert resumed.strategy == "incremental"
-        _assert_resumed_matches(resumed, straight, "retired strategy header")

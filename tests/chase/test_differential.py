@@ -1,15 +1,17 @@
-"""Differential tests: rescan vs incremental.
+"""Differential tests: rescan vs incremental vs sharded vs streaming.
 
-The incremental strategy's delta-driven worklist and columnar trigger
-kernel are only trustworthy if they are *indistinguishable* from the
-reference rescan scheduler.  These tests chase hundreds of randomized
-instances -- td/egd mixes, existential tds, untyped runaways, merge
-cascades, tight budgets -- under both strategies and require identical
-results: same final relation (fresh-value names included), same status,
-same canon map, same step count.  The engine makes this exact equality
-achievable by canonicalizing and deterministically ordering each round's
-triggers for *every* strategy; any divergence here means the worklist
-dropped or invented a trigger.
+The incremental trigger index, the sharded worklist partition, and the
+streaming per-step delta feed are only trustworthy if they are
+*indistinguishable* from the reference rescan scheduler.  These tests chase
+hundreds of randomized instances -- td/egd mixes, existential tds, untyped
+runaways, tight budgets -- under all four strategies (sharded at every
+shard_count in ``SHARD_COUNTS``, streaming at ``STREAM_SHARD_COUNT``) and
+require identical results: same final relation (fresh-value names
+included), same status, same canon map, same step count.  The engine makes
+this exact equality achievable by canonicalizing and deterministically
+ordering each round's triggers for *every* strategy; any divergence here
+means a worklist dropped or invented a trigger, a shard merge lost a
+delta, or the streaming feed replayed one out of sequence.
 
 Each randomized family also asserts the share of its cases that applied at
 least one step, so a generator drifting into already-satisfied instances
@@ -17,10 +19,12 @@ fails loudly instead of passing vacuously.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.chase import chase
+from repro.chase.strategies import ShardedStrategy, StreamingStrategy
 from repro.config import ChaseBudget
 from repro.dependencies import (
     EqualityGeneratingDependency,
@@ -38,8 +42,14 @@ from repro.model.tuples import Row
 ABC = Universe.from_names("ABC")
 N_CASES = 225
 
+#: Worker counts every differential case is additionally chased with.
+SHARD_COUNTS = (1, 2, 4)
 
-def _assert_equivalent(instance, deps, budget, label):
+#: Worker count of the streaming run every differential case also gets
+#: (single-shard and process-executor streaming live in test_streaming.py).
+STREAM_SHARD_COUNT = 2
+
+def _assert_equivalent(instance, deps, budget, label, shard_counts=SHARD_COUNTS):
     rescan = chase(instance, deps, budget=budget, strategy="rescan")
     incremental = chase(instance, deps, budget=budget, strategy="incremental")
     assert rescan.strategy == "rescan"
@@ -48,6 +58,31 @@ def _assert_equivalent(instance, deps, budget, label):
     assert incremental.relation == rescan.relation, label
     assert dict(incremental.canon) == dict(rescan.canon), label
     assert incremental.steps == rescan.steps, label
+    for shard_count in shard_counts:
+        sharded = chase(
+            instance,
+            deps,
+            budget=replace(budget, chase_strategy="sharded", shard_count=shard_count),
+        )
+        sharded_label = f"{label} [shard_count={shard_count}]"
+        assert sharded.strategy == "sharded", sharded_label
+        assert sharded.status == rescan.status, sharded_label
+        assert sharded.relation == rescan.relation, sharded_label
+        assert dict(sharded.canon) == dict(rescan.canon), sharded_label
+        assert sharded.steps == rescan.steps, sharded_label
+    streaming = chase(
+        instance,
+        deps,
+        budget=replace(
+            budget, chase_strategy="streaming", shard_count=STREAM_SHARD_COUNT
+        ),
+    )
+    streaming_label = f"{label} [streaming]"
+    assert streaming.strategy == "streaming", streaming_label
+    assert streaming.status == rescan.status, streaming_label
+    assert streaming.relation == rescan.relation, streaming_label
+    assert dict(streaming.canon) == dict(rescan.canon), streaming_label
+    assert streaming.steps == rescan.steps, streaming_label
     return rescan
 
 
@@ -183,3 +218,26 @@ def test_mvd_chain_is_equivalent():
     ]
     instance = random_typed_relation(universe, rows=4, domain_size=2, seed=11)
     _assert_equivalent(instance, mvd_tds, ChaseBudget(), "mvd chain")
+
+
+@pytest.mark.parametrize("factory", [ShardedStrategy, StreamingStrategy])
+@pytest.mark.parametrize("seed", range(8))
+def test_process_executor_is_equivalent(seed, factory):
+    """The process-pool executors are byte-identical to rescan too.
+
+    The bulk of the suite exercises the threaded executors (worker spawn
+    per case would dominate the runtime); these cases pin
+    ``executor="process"`` so the delta-replay reconciliation of the
+    per-shard mirror states -- batched for sharded, incrementally fed for
+    streaming -- is differentially validated through real worker processes.
+    """
+    instance, deps, budget = _cascade_case(seed)
+    rescan = chase(instance, deps, budget=budget, strategy="rescan")
+    strategy = factory(shard_count=2, executor="process")
+    result = chase(instance, deps, budget=budget, strategy=strategy)
+    label = f"{strategy.name} process seed={seed}"
+    assert strategy.executor == "process"
+    assert result.status == rescan.status, label
+    assert result.relation == rescan.relation, label
+    assert dict(result.canon) == dict(rescan.canon), label
+    assert result.steps == rescan.steps, label

@@ -35,9 +35,12 @@ from repro.model.values import typed
 ABC = Universe.from_names("ABC")
 
 
-def _index_snapshot(index: RowIndex) -> dict:
+def _index_snapshot(index: RowIndex) -> tuple[dict, dict]:
     """Bucket contents as plain sets (order-insensitive comparison)."""
-    return {value: set(bucket) for value, bucket in index.value_buckets.items()}
+    return (
+        {key: set(bucket) for key, bucket in index.attr_buckets.items()},
+        {value: set(bucket) for value, bucket in index.value_buckets.items()},
+    )
 
 
 class TestRowIndexMaintenance:
@@ -45,6 +48,8 @@ class TestRowIndexMaintenance:
         relation = Relation.typed(ABC, [["a", "b1", "c1"], ["a", "b2", "c2"]])
         index = RowIndex(relation)
         for row in relation:
+            for attr in ABC.attributes:
+                assert row in index.attr_buckets[(attr, row[attr])]
             for value in row.values():
                 assert row in index.value_buckets[value]
 
@@ -64,6 +69,7 @@ class TestRowIndexMaintenance:
         index.add_row(row)
         assert _index_snapshot(index) == before
         index.discard_row(row)
+        assert index.attr_buckets == {}
         assert index.value_buckets == {}
 
     def test_discard_of_unindexed_row_is_a_noop(self):
@@ -172,13 +178,15 @@ class TestChaseStateIndex:
 
 
 class TestShardOrderReplay:
-    """RowIndex replay of a delta stream through ``apply_delta``.
+    """RowIndex replay at the sharded round barrier.
 
-    An index built from one tableau and fed the deltas of later steps must
-    land on the index a fresh scan of the final tableau builds: groups of
-    *commuting* deltas (touching disjoint rows) converge in any order, an
-    egd merge evicts every pre-rewrite row wherever it came from, and
-    dependent deltas replay exactly in step order.
+    The sharded strategy reconciles per-shard sub-indexes by replaying the
+    round's delta stream through ``apply_delta``.  Two properties keep the
+    merged state byte-identical to a sequential run: every interleaving of
+    *commuting* shard delta groups (touching disjoint rows -- the case the
+    component partitioner engineers) converges to the same buckets, and an
+    egd merge whose rewrite spans rows held by several shards' sub-indexes
+    evicts the pre-rewrite rows from all of them, leaving no stale buckets.
     """
 
     AB = Universe.from_names("AB")
@@ -197,11 +205,13 @@ class TestShardOrderReplay:
 
     @staticmethod
     def _assert_no_trace_of(index: RowIndex, rows) -> None:
+        for bucket in index.attr_buckets.values():
+            assert not (set(bucket) & set(rows))
         for bucket in index.value_buckets.values():
             assert not (set(bucket) & set(rows))
 
     def test_commuting_shard_groups_converge_in_any_order(self):
-        """Two delta groups over disjoint components commute."""
+        """Two shards' delta groups over disjoint components commute."""
         instance = Relation.untyped(
             self.AB,
             [["v0", "v1"], ["v0", "w1"], ["x0", "x1"], ["x0", "y1"]],
@@ -222,17 +232,18 @@ class TestShardOrderReplay:
                 deltas.append(delta)
         # One merge per component: w1 -> v1 and y1 -> x1.
         assert len(deltas) == 2
-        group_a, group_b = [deltas[0]], [deltas[1]]
-        forward = self._replayed(instance, group_a + group_b)
-        backward = self._replayed(instance, group_b + group_a)
+        shard_a, shard_b = [deltas[0]], [deltas[1]]
+        forward = self._replayed(instance, shard_a + shard_b)
+        backward = self._replayed(instance, shard_b + shard_a)
         assert _index_snapshot(forward) == _index_snapshot(backward)
         assert _index_snapshot(forward) == _index_snapshot(RowIndex(state.relation))
 
     def test_cross_shard_merge_leaves_no_stale_buckets(self):
         """An egd rewrite spanning a base row and a td-added row evicts both.
 
-        The merge must scrub the replaced value's rows wherever they came
-        from: the initial tableau or an earlier td step.
+        The td row comes from one shard's trigger, the merge from another's;
+        every shard sub-index replays the full ordered stream, so the merge
+        must scrub the replaced value's rows wherever they came from.
         """
         td = TemplateDependency(
             Row.untyped_over(self.AB, ["y", "z"]),
@@ -243,25 +254,25 @@ class TestShardOrderReplay:
         egd = self._fd_egd()
         state = initial_state(instance)
         initial_values = instance.values()
-        # The td extends the primed chain: adds (w1, n0).
+        # Shard 1's td extends the primed chain: adds (w1, n0).
         trigger = next(
             t
             for t in find_triggers(state, td)
             if any(v.name == "w1" for v in t.valuation.as_dict().values())
         )
         td_delta = apply_td_step(state, td, trigger.valuation)
-        # The egd merges w1 into v1, rewriting rows of both origins.
+        # Shard 2's egd merges w1 into v1, rewriting rows of both origins.
         trigger = next(find_triggers(state, egd))
         egd_delta = apply_egd_step(
             state, egd, state.canonicalize(trigger.valuation), initial_values
         )
         assert td_delta.row in egd_delta.removed_rows
         assert len(egd_delta.removed_rows) >= 2
-        # Two indexes synced from different points: one replays the whole
-        # ordered stream from the round-start tableau, the other was (re)built
-        # mid-round -- it already holds the td row -- and replays only the
-        # merge.  Both must converge on the rebuilt index with no trace of
-        # the pre-rewrite rows.
+        # Two shard sub-indexes synced from different points: one replays the
+        # whole ordered stream from the round-start tableau, the other was
+        # (re)built mid-round -- it already holds the td row -- and replays
+        # only the merge.  Both must converge on the rebuilt index with no
+        # trace of the pre-rewrite rows.
         mid_round = instance.with_rows([td_delta.row])
         for sub_index in (
             self._replayed(instance, [td_delta, egd_delta]),
@@ -274,7 +285,8 @@ class TestShardOrderReplay:
 
     def test_engine_order_replay_matches_rebuild_on_dependent_deltas(self):
         """Non-commuting deltas (td row later rewritten) replay exactly in
-        engine order and land on the rebuilt index."""
+        engine order -- the discipline the sharded barrier ships to every
+        shard -- and land on the rebuilt index."""
         td = TemplateDependency(
             Row.untyped_over(self.AB, ["y", "z"]),
             Relation.untyped(self.AB, [["x", "y"]]),

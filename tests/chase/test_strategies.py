@@ -18,7 +18,7 @@ from repro.chase import (
     trigger_is_active,
 )
 from repro.chase.engine import ChaseEngine
-from repro.config import ChaseBudget, ConfigError, ServiceConfig, SolverConfig
+from repro.config import ChaseBudget, ConfigError, SolverConfig
 from repro.dependencies import (
     EqualityGeneratingDependency,
     FunctionalDependency,
@@ -229,20 +229,6 @@ class TestStrategySelection:
         assert ChaseBudget.from_dict(budget.to_dict()) == budget
         # missing keys default (forward/backward compatibility)
         assert ChaseBudget.from_dict({}).chase_strategy == "auto"
-
-    @pytest.mark.parametrize("retired", ["sharded", "streaming"])
-    def test_retired_strategies_load_from_payloads_only(self, retired):
-        """Old payloads load as incremental; new code cannot name them."""
-        with pytest.raises(ConfigError):
-            ChaseBudget(chase_strategy=retired)
-        with pytest.raises(ConfigError):
-            SolverConfig().with_strategy(retired)
-        legacy = {"chase_strategy": retired, "shard_count": 4, "chase_kernel": "off"}
-        assert ChaseBudget.from_dict(legacy) == ChaseBudget(
-            chase_strategy="incremental"
-        )
-        service = ServiceConfig.from_dict({"solver": {"chase": legacy}})
-        assert service.solver.chase.chase_strategy == "incremental"
 
     def test_engine_reads_budget_and_kwarg_overrides(self, mvd_td, counterexample):
         engine = ChaseEngine([mvd_td], budget=ChaseBudget(chase_strategy="rescan"))

@@ -123,7 +123,7 @@ class TestEndpoints:
         assert metrics["coalescer"]["submitted"] >= 1
         assert metrics["fairness"]["cap"] >= 1
         assert metrics["service"]["draining"] is False
-        assert metrics["service"]["strategy"] == "incremental"
+        assert metrics["service"]["kernel"] in ("numpy", "bitset", "off")
 
     def test_metrics_expose_the_outcome_store(self, live):
         _, client = live
@@ -139,23 +139,26 @@ class TestEndpoints:
         assert store["evictions"] >= 0
         assert metrics["service"]["cache_mode"] in ("syntactic", "canonical")
 
-    def test_solve_metrics_carry_strategy_label(self, live):
+    def test_solve_metrics_carry_kernel_label(self, live):
+        from repro.chase.kernel import resolve_kernel
+
         _, client = live
         client.solve(["A -> B", "B -> C"], "A -> C")
         metrics = client.metrics()
-        # The service resolves the configured (default "auto") strategy once
-        # at construction; every latency and chase observation carries it as
-        # its only label.
+        # The service resolves the configured (default "auto") kernel mode
+        # once at construction; every latency and chase observation must
+        # carry that resolution as a label.
+        expected = resolve_kernel("auto") or "off"
+        assert metrics["service"]["kernel"] == expected
         latency = metrics["metrics"]["solve_latency_seconds"]
-        assert latency["children"], "solve latency was never observed"
         assert all(
-            child["labels"] == {"strategy": "incremental"}
-            for child in latency["children"]
+            child["labels"]["kernel"] == expected for child in latency["children"]
         )
+        assert latency["children"], "solve latency was never observed"
         rounds = metrics["metrics"]["chase_rounds"]
         assert rounds["children"]
         assert all(
-            child["labels"] == {"strategy": "incremental"}
+            child["labels"]["kernel"] in ("numpy", "bitset", "off")
             for child in rounds["children"]
         )
 

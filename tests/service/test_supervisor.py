@@ -153,7 +153,20 @@ def spawn_fleet(*flags):
         stderr=subprocess.PIPE,
         text=True,
         env=env,
+        # Its own process group, so a failed test can kill the workers too.
+        start_new_session=True,
     )
+
+
+def kill_fleet(process):
+    """Kill a fleet still running after a failure, workers included.
+
+    Killing only the supervisor would orphan its workers, which keep the
+    inherited stdout/stderr pipes open and block ``communicate()`` forever.
+    """
+    if process.poll() is None:
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
 
 
 def wait_for_address(process, timeout=60.0):
@@ -199,9 +212,7 @@ class TestFleetLifecycle:
             process.send_signal(signal.SIGTERM)
             stdout, _ = process.communicate(timeout=60)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
+            kill_fleet(process)
         assert process.returncode == 0
         assert "service drained cleanly: 2 workers" in stdout
         assert_all_dead(pids)
@@ -226,9 +237,7 @@ class TestFleetLifecycle:
             process.send_signal(signal.SIGTERM)
             stdout, _ = process.communicate(timeout=60)
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.communicate()
+            kill_fleet(process)
         assert process.returncode == 0
         assert "service drained cleanly: 2 workers" in stdout
         assert_all_dead(set(first_pids) | set(replacement_pids))
