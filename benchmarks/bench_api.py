@@ -7,12 +7,11 @@ service traffic).  Three calling styles answer it:
 * the **naive loop** -- one uncached single query at a time (the pre-batch
   style);
 * the **batch path** (``solve_many``) -- deduplicates problems, memoizes
-  outcomes, shares premise normalisation, and optionally fans the distinct
-  problems out to a per-call process pool;
+  outcomes, and shares premise normalisation;
 * the **asyncio front-end** (``solve_many_async`` /
-  :class:`~repro.api.AsyncSolver`) -- multiplexes the same queries over one
-  shared pool with semaphore backpressure, the calling style of a service
-  that cannot afford per-batch pool start-up.
+  :class:`~repro.api.AsyncSolver`) -- multiplexes the same queries with
+  semaphore backpressure, inline or over a two-process pool the caller
+  injects (spawned inside the timed region, so its start-up is counted).
 
 * the **service round-trip** -- the same queries POSTed one at a time over
   a keep-alive socket to a live ``repro.service`` instance, measured at
@@ -20,7 +19,7 @@ service traffic).  Three calling styles answer it:
   workload (the column quantifies what the HTTP/JSON hop costs).
 
 The suite asserts that all styles agree answer-for-answer and that the
-batch path is at least 1.5x faster than the naive loop; the async-vs-pool
+batch path is at least 1.5x faster than the naive loop; the inline-vs-pool
 and service timings are reported (not gated -- the winner depends on CPU
 count and batch shape).  Run the module directly for a human-readable
 report and machine-readable ``benchmarks/BENCH_api.json``::
@@ -31,6 +30,7 @@ report and machine-readable ``benchmarks/BENCH_api.json``::
 import asyncio
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -39,10 +39,11 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.api import Solver
+from repro.api import AsyncSolver, Solver
 from repro.config import ServiceConfig, SolverConfig
 from repro.model.canon import rename_problem
 from repro.service import ServiceClient, protocol, serve_in_thread
@@ -83,22 +84,39 @@ def run_naive_loop(problems):
     return outcomes, time.perf_counter() - start
 
 
-def run_batch(problems, processes=None):
+def run_batch(problems):
     solver = Solver(universe=UNIVERSE)
     start = time.perf_counter()
-    outcomes = solver.solve_many(problems, processes=processes)
+    outcomes = solver.solve_many(problems)
     return outcomes, time.perf_counter() - start, solver.stats
 
 
-def run_async(problems, processes=None, max_in_flight=16):
-    """The asyncio front-end over one shared pool (inline when processes=None)."""
+async def _solve_over(executor, solver, problems, max_in_flight):
+    async with AsyncSolver(
+        solver, max_in_flight=max_in_flight, executor=executor
+    ) as front:
+        return await front.solve_many(problems)
+
+
+def run_async(problems, pooled=False, max_in_flight=16):
+    """The asyncio front-end, inline or over an injected two-process pool.
+
+    The pool is spawned (forking is unsafe once a process has threads) and
+    shut down inside the timed region: the row is what a caller pays for a
+    fresh pool, start-up included.
+    """
     solver = Solver(universe=UNIVERSE)
     start = time.perf_counter()
-    outcomes = asyncio.run(
-        solver.solve_many_async(
-            problems, processes=processes, max_in_flight=max_in_flight
+    if pooled:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(2, mp_context=context) as pool:
+            outcomes = asyncio.run(
+                _solve_over(pool, solver, problems, max_in_flight)
+            )
+    else:
+        outcomes = asyncio.run(
+            solver.solve_many_async(problems, max_in_flight=max_in_flight)
         )
-    )
     return outcomes, time.perf_counter() - start, solver.stats
 
 
@@ -283,8 +301,8 @@ def test_async_front_end_matches_naive_loop():
     """E17c: the asyncio front-end agrees answer-for-answer, both modes."""
     problems = workload(Solver(universe=UNIVERSE))
     naive, _ = run_naive_loop(problems)
-    inline, _, stats = run_async(problems, processes=None)
-    pooled, _, _ = run_async(problems, processes=2)
+    inline, _, stats = run_async(problems)
+    pooled, _, _ = run_async(problems, pooled=True)
     for fast, slow in zip(inline, naive):
         assert fast.verdict is slow.verdict
         assert fast.reason == slow.reason
@@ -385,25 +403,20 @@ def main() -> None:
     )
     _, naive_time = run_naive_loop(problems)
     _, batch_time, stats = run_batch(problems)
-    _, pool_time, _ = run_batch(problems, processes=2)
-    _, async_time, _ = run_async(problems, processes=None)
-    _, async_pool_time, _ = run_async(problems, processes=2)
+    _, async_time, _ = run_async(problems)
+    _, async_pool_time, _ = run_async(problems, pooled=True)
     print(f"naive loop            : {naive_time * 1e3:8.1f} ms")
     print(
         f"solve_many            : {batch_time * 1e3:8.1f} ms "
         f"({naive_time / batch_time:.1f}x faster)"
     )
     print(
-        f"solve_many (pool=2)   : {pool_time * 1e3:8.1f} ms "
-        f"(per-batch pool start-up included)"
-    )
-    print(
         f"solve_many_async      : {async_time * 1e3:8.1f} ms "
         f"(inline, backpressured)"
     )
     print(
-        f"solve_many_async pool : {async_pool_time * 1e3:8.1f} ms "
-        f"(one shared pool, semaphore backpressure)"
+        f"AsyncSolver, pool=2   : {async_pool_time * 1e3:8.1f} ms "
+        f"(injected spawned pool, start-up included)"
     )
     print(f"stats                 : {stats}")
 
@@ -465,7 +478,6 @@ def main() -> None:
         "calling_styles": {
             "naive_loop_s": round(naive_time, 6),
             "solve_many_s": round(batch_time, 6),
-            "solve_many_pool2_s": round(pool_time, 6),
             "async_inline_s": round(async_time, 6),
             "async_pool2_s": round(async_pool_time, 6),
             "batch_speedup": round(naive_time / batch_time, 2),

@@ -3,9 +3,9 @@
 Two production-scale features, end to end:
 
 * ``Solver.solve_many_async`` / :class:`~repro.api.AsyncSolver` multiplex a
-  burst of independent implication queries over one worker pool with
-  semaphore backpressure -- the calling style of a service that answers
-  queries as they arrive instead of in carefully pre-assembled batches;
+  burst of independent implication queries with semaphore backpressure --
+  the calling style of a service that answers queries as they arrive
+  instead of in carefully pre-assembled batches;
 * ``chase_strategy="streaming"`` streams each chase step's delta to shard
   workers the moment it applies, so next-round trigger discovery overlaps
   the current round's tail (the sharded strategy's barrier, pipelined).

@@ -4,14 +4,24 @@ The shape of real implication traffic -- schema-design loops, dependency
 linters, services answering the same queries for many clients -- repeats
 premise sets and whole problems constantly.  The batch path answers each
 distinct problem once and shares premise normalisation, without changing a
-single verdict.
+single verdict.  For heavy batches, the asyncio front-end can spread the
+distinct problems over a process pool the caller creates and owns.
 
 Run with ``PYTHONPATH=src python examples/batch_solving.py``.
 """
 
+import asyncio
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
-from repro.api import Solver
+from repro.api import AsyncSolver, Solver
+
+
+async def fan_out(problems, pool):
+    """Solve ``problems`` with a fresh solver over the caller's ``pool``."""
+    async with AsyncSolver(Solver(universe="ABCD"), executor=pool) as front:
+        return await front.solve_many(problems)
 
 
 def main() -> None:
@@ -48,8 +58,12 @@ def main() -> None:
     for label, outcome in zip(labels, outcomes):
         print(f"  {label:<48} {outcome.verdict.value}")
 
-    # The pool fan-out (identical verdicts, useful for heavy workloads):
-    pooled = solver.solve_many(problems, processes=2)
+    # The pool fan-out (identical verdicts, useful for heavy workloads).  A
+    # fresh solver, so every distinct problem really travels to a worker.
+    # Spawned workers: forking a process that runs threads is unsafe.
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=context) as pool:
+        pooled = asyncio.run(fan_out(problems, pool))
     assert [o.verdict for o in pooled] == [o.verdict for o in outcomes]
     print("\nprocess-pool fan-out agrees with the sequential batch")
 

@@ -11,11 +11,11 @@ Three pieces:
   round-trip;
 * **the solver facade** (:class:`Solver`) -- implication, finite implication,
   chasing, the paper's reduction pipelines, and the batch path
-  :meth:`Solver.solve_many` with memoization and optional process fan-out;
+  :meth:`Solver.solve_many` with memoization and deadline-aware solving;
 * **the asyncio front-end** (:class:`AsyncSolver`,
   :meth:`Solver.solve_many_async`) -- thousands of independent queries
-  multiplexed over one shared worker pool with semaphore backpressure,
-  sharing the batch path's dedup/memoization;
+  multiplexed with semaphore backpressure, inline or over an executor the
+  caller owns, sharing the batch path's dedup/memoization;
 * **problem identity and the outcome store** (:class:`ProblemIdentity`,
   :func:`identity_of`, :class:`OutcomeStore` and its in-memory / file-backed
   / null implementations) -- the pluggable caching layer every dedup path

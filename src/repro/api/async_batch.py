@@ -1,39 +1,41 @@
 """The asyncio batch front-end: :class:`AsyncSolver` / ``solve_many_async``.
 
-:meth:`repro.api.Solver.solve_many` fans a batch out per call: each
-invocation builds its own process pool, runs it to completion, and tears it
-down.  Service-shaped traffic -- thousands of *independent* implication
-queries arriving continuously -- wants the inverse: one long-lived worker
-pool that every query multiplexes over, with backpressure instead of
-unbounded fan-out.  :class:`AsyncSolver` provides exactly that:
+:meth:`repro.api.Solver.solve_many` answers a batch the caller assembled up
+front.  Service-shaped traffic -- thousands of *independent* implication
+queries arriving continuously -- wants queries answered as they come, with
+backpressure instead of unbounded fan-out.  :class:`AsyncSolver` provides
+exactly that:
 
-* **one shared pool** -- a single :class:`~concurrent.futures.Executor`
-  (by default a process pool, created lazily) serves every query for the
-  front-end's lifetime, so pool start-up is paid once, not per batch;
 * **semaphore backpressure** -- at most ``max_in_flight`` queries are
-  dispatched to the pool at any moment; the rest await the semaphore, so a
-  burst of 10k queries never swamps the pool's queue or the host's memory;
+  dispatched at any moment; the rest await the semaphore, so a burst of
+  10k queries never swamps the executor's queue or the host's memory;
 * **shared dedup/memoization** -- the same
   :class:`~repro.api.identity.ProblemIdentity` keying the synchronous
   batch path uses: solved outcomes come from (and feed) the wrapped
   solver's outcome store, and *concurrently* in-flight duplicates (in
   canonical mode, including renamed isomorphic twins) await one shared
-  future instead of solving twice.
+  future instead of solving twice;
+* **an optional caller-owned executor** -- by default queries solve inline
+  on the event loop (cooperative sequential mode); pass ``executor=`` (for
+  example a :mod:`concurrent.futures` process pool the caller creates and
+  shuts down) to spread distinct queries over its workers.
 
-Every answer is byte-identical to :meth:`Solver.solve` -- the pool workers
+The library never creates a pool of its own; for request traffic, more
+cores come from ``python -m repro.service --workers N``.
+
+Every answer is byte-identical to :meth:`Solver.solve` -- executor workers
 rebuild the same solver from the same frozen config -- so the front-end is
-purely a throughput/latency device.  In environments without worker
-processes (sandboxes, ``processes=None``) it degrades to cooperative
-sequential solving with the same answers.
+purely a throughput/latency device.  If the executor breaks (a dead pool,
+a sandbox that refuses to fork) it degrades to inline solving with the
+same answers.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.api.batch import _solve_in_worker
 from repro.implication.problem import ImplicationOutcome, ImplicationProblem
 from repro.util.errors import ReproError
 
@@ -48,8 +50,21 @@ class AsyncSolverError(ReproError):
     """A misconfigured :class:`AsyncSolver`."""
 
 
+def _solve_in_worker(payload) -> ImplicationOutcome:
+    """Executor entry point: rebuild a solver and solve one problem.
+
+    Top-level (hence picklable) on purpose.  Each worker gets the parent
+    solver's config and universe, so budgets and dispatch are identical to a
+    sequential run.
+    """
+    from repro.api.solver import Solver
+
+    config, universe, problem = payload
+    return Solver(universe=universe, config=config).solve(problem)
+
+
 class AsyncSolver:
-    """An asyncio front-end multiplexing queries over one shared worker pool.
+    """An asyncio front-end multiplexing queries with semaphore backpressure.
 
     Parameters
     ----------
@@ -61,21 +76,16 @@ class AsyncSolver:
     universe, config:
         Forwarded to :class:`~repro.api.solver.Solver` when ``solver`` is
         ``None``; passing them *alongside* a solver is an error.
-    processes:
-        Worker-pool size.  ``None`` or ``<= 1`` solves inline on the event
-        loop (cooperative sequential mode -- same answers, no parallelism);
-        ``> 1`` creates one lazy :class:`ProcessPoolExecutor` shared by
-        every query until :meth:`close`.  Pool start-up failure (restricted
-        environments) silently degrades to the inline mode.
     max_in_flight:
         Bound on concurrently dispatched queries; further ``solve`` calls
         await a semaphore.  This is what keeps ``solve_many`` over
-        thousands of problems from swamping the pool queue.
+        thousands of problems from swamping the executor's queue.
     executor:
-        An explicit :class:`~concurrent.futures.Executor` to dispatch to
-        instead of an owned process pool (useful for tests and for sharing
-        one pool across several front-ends).  The caller keeps ownership:
-        :meth:`close` does not shut it down.
+        An :class:`~concurrent.futures.Executor` to dispatch distinct
+        queries to, for example a process pool shared by several
+        front-ends.  ``None`` (the default) solves inline on the event loop
+        (cooperative sequential mode -- same answers, no parallelism).  The
+        caller keeps ownership: :meth:`close` does not shut it down.
 
     One front-end serves one event loop at a time: the semaphore and the
     in-flight futures re-bind automatically when a new loop (a fresh
@@ -88,7 +98,6 @@ class AsyncSolver:
         *,
         universe=None,
         config=None,
-        processes: Optional[int] = None,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         executor: Optional[Executor] = None,
     ) -> None:
@@ -103,11 +112,8 @@ class AsyncSolver:
         if max_in_flight < 1:
             raise AsyncSolverError("an AsyncSolver needs max_in_flight >= 1")
         self._solver = solver
-        self._processes = processes
         self._max_in_flight = max_in_flight
         self._executor = executor
-        self._owns_executor = executor is None
-        self._pool_unavailable = False
         self._closed = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._gate: Optional[asyncio.Semaphore] = None
@@ -128,7 +134,7 @@ class AsyncSolver:
     # -- queries ---------------------------------------------------------------
 
     async def solve(self, problem: ImplicationProblem) -> ImplicationOutcome:
-        """Solve one problem through the shared pool (or the caches).
+        """Solve one problem through the executor (or the caches).
 
         Identical problems are solved once: a memoized outcome returns
         immediately, and a problem currently being solved by another task
@@ -139,8 +145,7 @@ class AsyncSolver:
         """
         if self._closed:
             raise RuntimeError(
-                "this AsyncSolver is closed; create a new front-end "
-                "(close() shut its worker pool down for good)"
+                "this AsyncSolver is closed; create a new front-end"
             )
         identity = self._solver.identity(problem)
         while True:
@@ -212,7 +217,7 @@ class AsyncSolver:
         """Solve many problems concurrently; results align positionally.
 
         All queries are admitted at once and the semaphore meters them into
-        the pool ``max_in_flight`` at a time, so the call scales to
+        dispatch ``max_in_flight`` at a time, so the call scales to
         thousands of problems with bounded resource use.
         """
         return list(await asyncio.gather(*(self.solve(p) for p in problems)))
@@ -220,22 +225,17 @@ class AsyncSolver:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the owned worker pool down (idempotent and terminal).
+        """Close the front-end for good (idempotent and terminal).
 
-        Injected executors are the caller's to close.  Safe to call from
-        ``finally`` blocks (and to call twice): pending dispatches are
-        cancelled, and the second call is a no-op.  A closed front-end is
-        *done*: later ``solve`` / ``solve_many`` calls raise a clear
-        ``RuntimeError`` instead of dying inside a torn-down executor or
-        silently resurrecting a pool that nothing would shut down.
+        The front-end drops its executor reference but never shuts the
+        executor down: it belongs to the caller, who may share it.  Safe
+        to call from ``finally`` blocks and to call twice.  A closed
+        front-end is *done*: later ``solve`` / ``solve_many`` calls raise
+        a clear ``RuntimeError`` instead of dispatching to an executor its
+        owner may already have shut down.
         """
-        if self._closed:
-            return
         self._closed = True
-        self._pool_unavailable = True
-        executor, self._executor = self._executor, None
-        if executor is not None and self._owns_executor:
-            executor.shutdown(wait=True, cancel_futures=True)
+        self._executor = None
 
     async def __aenter__(self) -> "AsyncSolver":
         return self
@@ -258,7 +258,7 @@ class AsyncSolver:
     async def _dispatch(
         self, loop: asyncio.AbstractEventLoop, problem: ImplicationProblem
     ) -> ImplicationOutcome:
-        executor = self._ensure_executor()
+        executor = self._executor
         if executor is None:
             # Cooperative sequential mode: solve inline, then yield so
             # sibling tasks (and their cache hits) interleave fairly.
@@ -268,30 +268,9 @@ class AsyncSolver:
         payload = (self._solver.config, self._solver.universe, problem)
         try:
             return await loop.run_in_executor(executor, _solve_in_worker, payload)
-        except (OSError, PermissionError, BrokenExecutor):
+        except (OSError, BrokenExecutor):
             # The pool died or the sandbox refused to fork: answers are
             # identical inline, so degrade for this and every later query
-            # (injected executors are dropped but left for the owner to
-            # shut down).
-            self._pool_unavailable = True
+            # (the executor is dropped but left for its owner to shut down).
             self._executor = None
-            if self._owns_executor:
-                executor.shutdown(wait=False, cancel_futures=True)
             return self._solver.solve(problem)
-
-    def _ensure_executor(self) -> Optional[Executor]:
-        if self._executor is not None:
-            return self._executor
-        if (
-            self._pool_unavailable
-            or not self._owns_executor
-            or self._processes is None
-            or self._processes <= 1
-        ):
-            return None
-        try:
-            self._executor = ProcessPoolExecutor(max_workers=self._processes)
-        except (OSError, PermissionError, ImportError):
-            self._pool_unavailable = True
-            return None
-        return self._executor

@@ -12,12 +12,12 @@ queries.  The batch path exploits both shapes without changing any answer:
   isomorphic statements of one problem share a single solve;
 * **shared normalisation** -- the solver threads one premise cache through
   its :class:`~repro.implication.engine.ImplicationEngine`, so a premise set
-  shared by many problems is converted to chase primitives only once;
-* **optional fan-out** -- distinct problems can be dispatched to a process
-  pool.  Verdicts are unaffected, but tie-breaking inside the chase follows
-  per-process hash ordering, so counterexample *presentation* may differ
-  from a sequential run; leave ``processes=None`` when byte-identical
-  outcomes matter.
+  shared by many problems is converted to chase primitives only once.
+
+Distinct problems solve sequentially in the calling thread, so a
+``deadline`` reaches every chase.  To spread queries over cores, run the
+service fleet (``python -m repro.service --workers N``) or hand an
+:class:`~repro.api.AsyncSolver` an executor the caller owns.
 """
 
 from __future__ import annotations
@@ -177,36 +177,18 @@ class BatchStats:
         return stats
 
 
-def _solve_in_worker(payload) -> ImplicationOutcome:
-    """Process-pool entry point: rebuild a solver and solve one problem.
-
-    Top-level (hence picklable) on purpose.  Each worker gets the parent
-    solver's config and universe, so budgets and dispatch are identical to a
-    sequential run.
-    """
-    from repro.api.solver import Solver
-
-    config, universe, problem = payload
-    return Solver(universe=universe, config=config).solve(problem)
-
-
 def solve_problems(
     solver: "Solver",
     problems: Sequence[ImplicationProblem],
-    processes: Optional[int] = None,
+    *,
     deadline: Optional[float] = None,
 ) -> list[ImplicationOutcome]:
     """Solve many problems, deduplicating and memoizing shared work.
 
-    Results are positionally aligned with ``problems``.  With
-    ``processes > 1`` the distinct uncached problems are fanned out across a
-    process pool; any pool start-up failure (restricted environments) falls
-    back to the sequential path silently, since answers are identical.
-
-    ``deadline`` (an absolute ``time.monotonic()`` instant) is threaded into
-    each sequential solve so the chase itself stops at the next round
-    boundary once the instant passes; the pool path ignores it, since a
-    monotonic instant is meaningless in another process.
+    Results are positionally aligned with ``problems``.  ``deadline`` (an
+    absolute ``time.monotonic()`` instant) is threaded into each solve so
+    the chase itself stops at the next round boundary once the instant
+    passes.
     """
     identities = [solver.identity(p) for p in problems]
     results: Dict[ProblemIdentity, ImplicationOutcome] = {}
@@ -239,11 +221,8 @@ def solve_problems(
     # (the solver's outcome store, or this run's dedup of repeated problems).
     hits = len(problems) - len(fresh)
 
-    if processes is not None and processes > 1 and len(fresh) > 1:
-        results.update(_solve_fresh_in_pool(solver, fresh, processes))
-    else:
-        for identity, problem in fresh.items():
-            results[identity] = solver.solve(problem, deadline=deadline)
+    for identity, problem in fresh.items():
+        results[identity] = solver.solve(problem, deadline=deadline)
 
     solver.stats.merge_run(
         problems=len(problems),
@@ -255,36 +234,3 @@ def solve_problems(
         evictions=solver.store.stats.evictions - evictions_before,
     )
     return [results[identity] for identity in identities]
-
-
-def _solve_fresh_in_pool(
-    solver: "Solver",
-    fresh: "Dict[ProblemIdentity, ImplicationProblem]",
-    processes: int,
-) -> "Dict[ProblemIdentity, ImplicationOutcome]":
-    """Fan distinct problems out to a process pool, seeding the solver's cache.
-
-    The pool is torn down in a ``finally`` with pending work cancelled, so a
-    ``KeyboardInterrupt`` (or a worker crash) mid-batch never leaves orphaned
-    worker processes behind -- the interrupt still propagates to the caller.
-    """
-    pool = None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (solver.config, solver.universe, problem) for problem in fresh.values()
-        ]
-        pool = ProcessPoolExecutor(max_workers=processes)
-        outcomes = list(pool.map(_solve_in_worker, payloads))
-    except (OSError, PermissionError, ImportError):
-        # Sandboxes without process spawning: answers are identical either
-        # way, so degrade to the sequential path.
-        return {identity: solver.solve(problem) for identity, problem in fresh.items()}
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-    results = dict(zip(fresh.keys(), outcomes))
-    for identity, outcome in results.items():
-        solver.seed_outcome(identity, outcome)
-    return results

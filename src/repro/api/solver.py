@@ -8,8 +8,8 @@ the operations users actually perform:
   any dependency class, answered by the strongest applicable procedure;
 * ``solve_text`` / ``parse`` -- the same, stated in the text DSL of
   :mod:`repro.api.dsl`;
-* ``solve_many`` -- the batch path (deduplication, memoization, optional
-  process-pool fan-out);
+* ``solve_many`` -- the batch path (deduplication, memoization, a deadline
+  that reaches every chase);
 * ``chase`` -- chase an instance with dependencies of any class (conversion
   to the paper's two primitive classes happens internally);
 * ``reduce_untyped_to_typed`` / ``reduce_td_to_pjd`` -- the paper's
@@ -293,7 +293,6 @@ class Solver:
         self,
         problems: Sequence[ImplicationProblem],
         *,
-        processes: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> list[ImplicationOutcome]:
         """Solve many problems at once (see :mod:`repro.api.batch`).
@@ -301,35 +300,32 @@ class Solver:
         Results align positionally with ``problems`` and are identical to
         calling :meth:`solve` on each problem in sequence; repeated problems
         and shared premise sets are solved/normalised only once.
-        ``deadline`` bounds the wall clock of the sequential path exactly as
-        in :meth:`solve`; the process-pool fan-out ignores it (a monotonic
-        instant of this process means nothing in a worker).
+        ``deadline`` bounds the wall clock of every solve exactly as in
+        :meth:`solve`.
         """
-        return solve_problems(self, problems, processes=processes, deadline=deadline)
+        return solve_problems(self, problems, deadline=deadline)
 
     async def solve_many_async(
         self,
         problems: Sequence[ImplicationProblem],
         *,
-        processes: Optional[int] = None,
         max_in_flight: Optional[int] = None,
     ) -> list[ImplicationOutcome]:
         """Solve many problems through a throwaway asyncio front-end.
 
         A convenience wrapper building an
         :class:`~repro.api.async_batch.AsyncSolver` around this solver for
-        one call: queries multiplex over one shared pool of ``processes``
-        workers with at most ``max_in_flight`` dispatched at a time (the
-        semaphore backpressure), sharing this solver's outcome cache.
-        Long-lived services should hold an ``AsyncSolver`` directly so the
-        pool outlives individual batches.  Answers are identical to
-        :meth:`solve_many` / :meth:`solve`.
+        one call: queries solve inline on the event loop with at most
+        ``max_in_flight`` dispatched at a time (the semaphore
+        backpressure), sharing this solver's outcome cache.  To spread
+        queries over an executor, hold an ``AsyncSolver(executor=...)``
+        directly.  Answers are identical to :meth:`solve_many` /
+        :meth:`solve`.
         """
         from repro.api.async_batch import DEFAULT_MAX_IN_FLIGHT, AsyncSolver
 
         front = AsyncSolver(
             self,
-            processes=processes,
             max_in_flight=(
                 DEFAULT_MAX_IN_FLIGHT if max_in_flight is None else max_in_flight
             ),
@@ -356,7 +352,7 @@ class Solver:
         return None if hit is None else hit.outcome
 
     def seed_outcome(self, key, outcome: ImplicationOutcome) -> None:
-        """Insert a precomputed outcome (used by the process-pool fan-out)."""
+        """Insert a precomputed outcome (used by the asyncio front-end)."""
         self._store.put(self._coerce_identity(key), outcome)
 
     # -- chase -----------------------------------------------------------------

@@ -598,10 +598,6 @@ class ServiceConfig:
     per_client_in_flight:
         The fairness budget: how many requests one client id may have in
         flight before further ones are answered with 429-style backpressure.
-    processes:
-        Worker-pool size for solving batches.  ``None``/``<= 1`` solves on a
-        thread off the event loop; ``> 1`` multiplexes batches over one
-        long-lived shared process pool (an :class:`~repro.api.AsyncSolver`).
     drain_timeout:
         How long (seconds) a graceful drain waits for in-flight work before
         giving up and closing anyway.
@@ -613,7 +609,9 @@ class ServiceConfig:
     workers:
         How many service worker processes the ``python -m repro.service``
         supervisor runs behind one listening port.  ``1`` (the default)
-        serves directly in-process with no supervisor.
+        serves directly in-process with no supervisor.  This is the
+        service's only multi-core mechanism: each worker solves its
+        batches on a thread, so every request deadline reaches the chase.
     worker_id:
         Which worker of a multi-worker deployment this process is (``0``
         for a single-process service).  Set by the supervisor; shows up in
@@ -660,7 +658,6 @@ class ServiceConfig:
     max_batch_size: int = 64
     max_concurrent_batches: int = 4
     per_client_in_flight: int = 8
-    processes: Optional[int] = None
     drain_timeout: float = 30.0
     universe: Optional[str] = None
     solver: SolverConfig = SolverConfig()
@@ -685,8 +682,6 @@ class ServiceConfig:
             raise ConfigError("a service config needs max_concurrent_batches >= 1")
         if self.per_client_in_flight < 1:
             raise ConfigError("a service config needs per_client_in_flight >= 1")
-        if self.processes is not None and self.processes < 1:
-            raise ConfigError("processes must be None or >= 1")
         if self.drain_timeout <= 0:
             raise ConfigError("a service config needs drain_timeout > 0")
         if self.workers < 1:
@@ -721,7 +716,6 @@ class ServiceConfig:
             "max_batch_size": self.max_batch_size,
             "max_concurrent_batches": self.max_concurrent_batches,
             "per_client_in_flight": self.per_client_in_flight,
-            "processes": self.processes,
             "drain_timeout": self.drain_timeout,
             "universe": self.universe,
             "solver": self.solver.to_dict(),
@@ -738,7 +732,11 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ServiceConfig":
-        """Rebuild a configuration from :meth:`to_dict` output."""
+        """Rebuild a configuration from :meth:`to_dict` output.
+
+        Unknown keys are ignored, so payloads written by older releases
+        still load (their ``processes`` key selected a retired pool).
+        """
         return cls(
             host=payload.get("host", "127.0.0.1"),
             port=payload.get("port", 8642),
@@ -746,7 +744,6 @@ class ServiceConfig:
             max_batch_size=payload.get("max_batch_size", 64),
             max_concurrent_batches=payload.get("max_concurrent_batches", 4),
             per_client_in_flight=payload.get("per_client_in_flight", 8),
-            processes=payload.get("processes"),
             drain_timeout=payload.get("drain_timeout", 30.0),
             universe=payload.get("universe"),
             solver=SolverConfig.from_dict(payload.get("solver", {})),

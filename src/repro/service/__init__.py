@@ -1,8 +1,8 @@
 """``repro.service``: the long-lived solver service.
 
-The library's decision procedures are fast and concurrent inside one
-process (:meth:`repro.api.Solver.solve_many`, :class:`repro.api.AsyncSolver`)
-but, by themselves, unreachable from outside it.  This package turns the
+The library's decision procedures are fast inside one process
+(:meth:`repro.api.Solver.solve_many`, :class:`repro.api.AsyncSolver`) but,
+by themselves, unreachable from outside it.  This package turns the
 solver into an operable network service on nothing but the standard
 library:
 
@@ -17,7 +17,7 @@ library:
   clients asking the same question concurrently;
 * :class:`~repro.service.fairness.FairnessGate` -- a per-client in-flight
   budget, answered with 429-style backpressure when exceeded, so one heavy
-  tenant cannot starve the pool;
+  tenant cannot starve the rest;
 * :class:`~repro.service.ratelimit.TokenBucketLimiter` -- a per-client
   token bucket (``requests_per_second`` / ``burst``) ahead of the fairness
   gate, answered with the distinct 429 ``rate_limited`` code;
@@ -33,10 +33,10 @@ library:
 * :class:`~repro.service.supervisor.Supervisor` -- the ``--workers N``
   pre-fork supervisor: one listening port shared by N worker processes
   (``SO_REUSEPORT`` where available, inherited FD elsewhere),
-  respawn-with-backoff, and SIGTERM fanned out into a coordinated drain;
+  respawn-with-backoff, and SIGTERM fanned out into a coordinated drain --
+  the service's only multi-core mechanism;
 * ``python -m repro.service`` -- the entrypoint, with SIGTERM/SIGINT
-  triggering a graceful drain (stop accepting, flush in-flight batches,
-  shut the worker pool down).
+  triggering a graceful drain (stop accepting, flush in-flight batches).
 
 Requests may carry ``deadline_ms`` (and the service may configure
 ``default_deadline_ms``): past the deadline the chase is cut at the next

@@ -3,7 +3,7 @@
 Binds the configured address, prints the actual listen URL (machine-parsed
 by the tests and the example: keep the ``listening on`` line stable), and
 serves until SIGTERM or SIGINT triggers the graceful drain -- stop
-accepting, flush in-flight batches, release the worker pool -- then exits 0.
+accepting, flush in-flight batches -- then exits 0.
 
 With ``--workers N`` (N > 1) the process becomes a
 :class:`~repro.service.supervisor.Supervisor` instead: it shares one
@@ -15,7 +15,7 @@ protocol is identical either way.
 Examples::
 
     python -m repro.service --universe ABCD
-    python -m repro.service --port 0 --processes 4 --per-client-cap 16
+    python -m repro.service --port 0 --per-client-cap 16
     python -m repro.service --workers 4 --rate-limit 50 --burst 100
     python -m repro.service --config service.json   # a ServiceConfig to_dict
 """
@@ -48,9 +48,6 @@ def _parse(argv=None):
     )
     parser.add_argument(
         "--universe", help="attribute names of the solver universe, e.g. ABCD"
-    )
-    parser.add_argument(
-        "--processes", type=int, help="worker-pool size for solving batches"
     )
     parser.add_argument(
         "--window-ms", type=float, help="coalescing window in milliseconds"
@@ -135,8 +132,6 @@ def _parse(argv=None):
         overrides["port"] = args.port
     if args.universe is not None:
         overrides["universe"] = args.universe
-    if args.processes is not None:
-        overrides["processes"] = args.processes
     if args.window_ms is not None:
         overrides["batch_window"] = args.window_ms / 1000.0
     if args.max_batch is not None:

@@ -17,13 +17,13 @@ amortises.  The coalescer reconciles the two shapes:
   in canonical mode, renamed isomorphic queries from different tenants
   collapse into one slot;
 * at most ``max_concurrent`` batches solve at once (a semaphore); the
-  ``in_flight_batches`` gauge over that capacity is the service's pool
+  ``in_flight_batches`` gauge over that capacity is the service's
   saturation signal.
 
 The coalescer does not solve anything itself: it is handed an async
-``dispatch`` callable (``problems -> outcomes``), so the server can wire
-either the threaded ``solve_many`` path or a shared-pool
-:class:`~repro.api.AsyncSolver` behind the same batching policy.
+``dispatch`` callable (``problems -> outcomes``, optionally taking the
+batch ``deadline``); the server wires ``solve_many`` on a worker thread,
+and tests substitute fakes behind the same batching policy.
 """
 
 from __future__ import annotations

@@ -221,7 +221,8 @@ def loads(data: bytes) -> Any:
 def check_schema(payload: Mapping) -> None:
     """Reject any payload not stamped with a supported schema version."""
     version = payload.get("schema")
-    if version not in SUPPORTED_SCHEMAS:
+    # ``True == 1`` in Python: a boolean must not pass for schema 1.
+    if isinstance(version, bool) or version not in SUPPORTED_SCHEMAS:
         raise ProtocolError(
             ERROR_SCHEMA_MISMATCH,
             f"unsupported schema version {version!r}; "
@@ -296,7 +297,9 @@ def _decode_resume(payload: Mapping) -> ResumeRequest:
     limits = {}
     for key in ("max_steps", "max_rows"):
         value = payload.get(key)
-        if value is not None and (not isinstance(value, int) or value < 1):
+        if value is not None and (
+            not isinstance(value, int) or isinstance(value, bool) or value < 1
+        ):
             raise ProtocolError(
                 ERROR_BAD_REQUEST, f"{key} must be a positive integer when given"
             )

@@ -13,19 +13,19 @@ on nothing but the standard library:
   snapshot, the solver's lifetime :class:`~repro.api.batch.BatchStats`,
   the coalescer counters, and the fairness gate's per-client view.
 
-**Solving happens off the event loop.**  With ``processes`` unset the
-coalescer dispatches each batch to ``Solver.solve_many`` on a worker thread
-(``asyncio.to_thread``), so health checks stay responsive while a chase
-runs; with ``processes > 1`` batches multiplex over one long-lived
-:class:`~repro.api.AsyncSolver` process pool.  Either way the answers are
-byte-identical to in-process ``solve_many`` -- the differential test in
+**Solving happens off the event loop.**  The coalescer dispatches each
+batch to ``Solver.solve_many`` on a worker thread (``asyncio.to_thread``),
+so health checks stay responsive while a chase runs, and the batch's
+deadline reaches the chase itself.  The answers are byte-identical to
+in-process ``solve_many`` -- the differential test in
 ``tests/service/test_server.py`` holds the JSON-normalized bytes equal.
+More cores come from ``python -m repro.service --workers N``, never from a
+pool inside one service.
 
 **Graceful drain.**  :meth:`SolverService.drain` stops accepting
 connections, answers late requests on kept-alive connections with 503
 ``draining``, flushes the open coalescing window, waits (bounded by
-``drain_timeout``) for in-flight batches and responses to finish, closes
-the worker pool through :meth:`AsyncSolver.close`'s hardened shutdown, and
+``drain_timeout``) for in-flight batches and responses to finish, and
 finally closes surviving idle connections.  ``python -m repro.service``
 wires SIGTERM/SIGINT to exactly this path.
 """
@@ -40,7 +40,6 @@ import threading
 import time
 from typing import Optional, Tuple
 
-from repro.api.async_batch import AsyncSolver
 from repro.api.solver import Solver
 from repro.chase import engine as chase_engine
 from repro.chase.checkpoint import (
@@ -141,7 +140,6 @@ class SolverService:
         )
         self._access_log: Optional[AccessLog] = None
         self._coalescer: Optional[RequestCoalescer] = None
-        self._front: Optional[AsyncSolver] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._address: Optional[Tuple[str, int]] = None
@@ -240,7 +238,7 @@ class SolverService:
         self._idle_event.set()
         self._stop_event = asyncio.Event()
         self._coalescer = RequestCoalescer(
-            self._make_dispatch(),
+            self._dispatch,
             window=self._config.batch_window,
             max_batch=self._config.max_batch_size,
             max_concurrent=self._config.max_concurrent_batches,
@@ -285,7 +283,7 @@ class SolverService:
         loop.call_soon_threadsafe(self._stop_event.set)
 
     async def drain(self) -> None:
-        """Gracefully stop: no new work, flush in-flight, release the pool."""
+        """Gracefully stop: no new work, flush in-flight batches."""
         if self._drained:
             return
         self._draining = True
@@ -307,11 +305,6 @@ class SolverService:
                     self._idle_event.wait(),
                     timeout=max(0.0, deadline - time.monotonic()),
                 )
-        if self._front is not None:
-            # PR 5's hardened shutdown: cancels pending dispatches, reaps
-            # worker processes, idempotent.
-            self._front.close()
-            self._front = None
         chase_engine.remove_run_observer(self._observe_chase)
         for task in tuple(self._connections):
             task.cancel()
@@ -324,33 +317,16 @@ class SolverService:
 
     # -- wiring ----------------------------------------------------------------
 
-    def _make_dispatch(self):
-        """The coalescer's batch dispatcher: threaded or shared-pool.
+    async def _dispatch(self, problems, deadline=None):
+        """The coalescer's batch dispatcher: ``solve_many`` on a thread.
 
-        The threaded path threads the batch deadline down into the chase
-        (``solve_many(deadline=...)``), so an expiring request actually
-        stops chasing.  The process-pool path does not: a deadline is a
-        ``time.monotonic()`` instant of *this* process, meaningless in a
-        worker, so there the deadline is enforced only at the response
-        level (``asyncio.wait_for`` in the solve handler).
+        The batch deadline travels into the chase (``solve_many(deadline=
+        ...)``), so an expiring request stops chasing at the next round
+        boundary instead of holding its batch in flight.
         """
-        processes = self._config.processes
-        if processes is not None and processes > 1:
-            self._front = AsyncSolver(self._solver, processes=processes)
-
-            async def dispatch(problems, deadline=None):
-                """Multiplex one batch over the shared process pool."""
-                return await self._front.solve_many(problems)
-
-        else:
-
-            async def dispatch(problems, deadline=None):
-                """Solve one batch on a worker thread, deadline-aware."""
-                return await asyncio.to_thread(
-                    self._solver.solve_many, problems, deadline=deadline
-                )
-
-        return dispatch
+        return await asyncio.to_thread(
+            self._solver.solve_many, problems, deadline=deadline
+        )
 
     # -- checkpoint recovery and resume ----------------------------------------
 

@@ -2,16 +2,21 @@
 
 The front-end must be a pure throughput device: answers byte-identical to
 the sequential paths, concurrency bounded by the semaphore, identical
-queries deduplicated (memoized outcomes and shared in-flight futures), and
-the worker pool torn down -- or degraded to inline solving -- on every
-failure path.  No pytest-asyncio here: each test drives its own event loop
-through ``asyncio.run``.
+queries deduplicated (memoized outcomes and shared in-flight futures), a
+broken executor degraded to inline solving, and a caller-owned executor
+left to its owner on every path.  No pytest-asyncio here: each test drives
+its own event loop through ``asyncio.run``.
 """
 
 import asyncio
+import multiprocessing
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 
 import pytest
 
@@ -41,6 +46,11 @@ PREMISE_BLOCKS = [
 ]
 
 CONCLUSIONS = ["A -> C", "A ->> B", "AB -> D", "A -> D"]
+
+
+def process_pool():
+    """Two real worker processes, spawned (forking a threaded test run is unsafe)."""
+    return ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
 
 
 def distinct_problems(solver):
@@ -102,11 +112,12 @@ class TestAnswers:
         problems = distinct_problems(solver) * 2
         expected = Solver(universe=UNIVERSE).solve_many(problems)
 
-        async def main():
-            async with AsyncSolver(solver, processes=2) as front:
+        async def main(pool):
+            async with AsyncSolver(solver, executor=pool) as front:
                 return await front.solve_many(problems)
 
-        outcomes = asyncio.run(main())
+        with process_pool() as pool:
+            outcomes = asyncio.run(main(pool))
         for fast, slow in zip(outcomes, expected):
             assert fast.verdict is slow.verdict
             assert fast.reason == slow.reason
@@ -288,33 +299,39 @@ class TestFailurePaths:
         assert executor.submitted == 1  # the leader's dispatch, undisturbed
 
     def test_close_is_idempotent_and_leaves_no_pool(self):
-        front = AsyncSolver(Solver(universe=UNIVERSE), processes=2)
-        problems = distinct_problems(front.solver)[:2]
-        asyncio.run(front.solve_many(problems))
-        front.close()
-        front.close()
-        assert front._executor is None
+        """close() drops the front-end's executor reference but leaves the
+        pool itself usable: the caller owns it."""
+        with process_pool() as pool:
+            front = AsyncSolver(Solver(universe=UNIVERSE), executor=pool)
+            problems = distinct_problems(front.solver)[:2]
+            asyncio.run(front.solve_many(problems))
+            front.close()
+            front.close()
+            assert front._executor is None
+            assert pool.submit(pow, 2, 5).result(timeout=10) == 32
 
     def test_solve_after_close_raises_runtime_error(self):
         """close() is terminal: later queries raise a clear RuntimeError
         instead of dying inside a torn-down executor or silently
         resurrecting a pool nothing would shut down."""
-        front = AsyncSolver(Solver(universe=UNIVERSE), processes=2)
-        problems = distinct_problems(front.solver)
-        asyncio.run(front.solve_many(problems[:2]))
-        front.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            asyncio.run(front.solve_many(problems[2:4]))
-        assert front._executor is None  # no pool came back
+        with process_pool() as pool:
+            front = AsyncSolver(Solver(universe=UNIVERSE), executor=pool)
+            problems = distinct_problems(front.solver)
+            asyncio.run(front.solve_many(problems[:2]))
+            front.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                asyncio.run(front.solve_many(problems[2:4]))
+            assert front._executor is None  # no pool came back
 
     def test_double_close_then_solve_still_raises_cleanly(self):
         """The double-close regression: the second close() must stay a
         no-op and the closed state must survive it."""
-        front = AsyncSolver(Solver(universe=UNIVERSE), processes=2)
-        front.close()
-        front.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            asyncio.run(front.solve(distinct_problems(front.solver)[0]))
+        with process_pool() as pool:
+            front = AsyncSolver(Solver(universe=UNIVERSE), executor=pool)
+            front.close()
+            front.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                asyncio.run(front.solve(distinct_problems(front.solver)[0]))
 
     def test_context_manager_exit_closes_for_good(self):
         async def main():

@@ -90,15 +90,6 @@ class TestSolveMany:
         solver = Solver(universe=ABCD_NAMES)
         assert solver.solve_many([]) == []
 
-    def test_process_pool_matches_sequential(self):
-        solver = Solver(universe=ABCD_NAMES)
-        problems = mixed_problems(solver)[:8]
-        pooled = solver.solve_many(problems, processes=2)
-
-        sequential_solver = Solver(universe=ABCD_NAMES)
-        sequential = sequential_solver.solve_many(problems)
-        assert [o.verdict for o in pooled] == [o.verdict for o in sequential]
-
 
 class TestPremiseNormalizationSharing:
     def test_premise_cache_populated_per_premise_tuple(self):

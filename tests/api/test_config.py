@@ -138,13 +138,19 @@ class TestServiceConfig:
         config = ServiceConfig(
             port=0,
             universe="ABCD",
-            processes=4,
             batch_window=0.02,
             solver=SolverConfig(chase=ChaseBudget(max_steps=10, max_rows=50)),
         )
         rebuilt = ServiceConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert rebuilt == config
         assert rebuilt.solver.chase.max_steps == 10
+
+    def test_from_dict_ignores_the_retired_processes_key(self):
+        from repro.config import ServiceConfig
+
+        # Every older to_dict wrote a processes key; those files still load.
+        payload = {**ServiceConfig(port=0).to_dict(), "processes": 4}
+        assert ServiceConfig.from_dict(payload) == ServiceConfig(port=0)
 
     def test_is_frozen_and_hashable(self):
         from repro.config import ServiceConfig
@@ -163,7 +169,7 @@ class TestServiceConfig:
             {"max_batch_size": 0},
             {"max_concurrent_batches": 0},
             {"per_client_in_flight": 0},
-            {"processes": 0},
+            {"workers": 0},
             {"drain_timeout": 0},
         ],
     )

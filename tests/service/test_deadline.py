@@ -10,7 +10,8 @@ timing-dependent UNKNOWN.
 
 Service level: an expired request is answered 504 with the stable code,
 and -- critically for fairness -- its in-flight slot is released, so the
-same client's next request is admitted.
+same client's next request is admitted.  A deadline that expires inside a
+running chase also cuts that chase, so its batch leaves the coalescer.
 """
 
 import time
@@ -28,6 +29,11 @@ from repro.util.errors import ChaseBudgetExceeded, ChaseDeadlineExceeded
 #: own, so only a budget or deadline can stop the chase.
 CHAIN_PREMISE = "utd[AB]{x y} => y x1"
 CHAIN_CONCLUSION = "uegd[AB]{x y; x y2}: y = y2"
+
+#: A successor chain asked whether it closes into a 4-cycle: not implied,
+#: and the chase never finds that out on its own.
+SUCCESSOR_PREMISE = "utd[AB]{x y} => y z"
+SUCCESSOR_CONCLUSION = "utd[AB]{v0 v1; v1 v2; v2 v3} => v3 v0"
 
 
 class TestEngineDeadline:
@@ -116,6 +122,32 @@ class TestServiceDeadline:
                     client.solve(["A -> B"], "A -> C")
                 assert excinfo.value.status == 504
                 assert excinfo.value.code == protocol.ERROR_DEADLINE_EXCEEDED
+
+    def test_deadline_cuts_a_running_chase_and_frees_its_batch(self):
+        # batch_window=0 dispatches at once, so the deadline expires inside
+        # the chase, whose step budget 300 ms cannot come close to using up.
+        config = ServiceConfig(
+            port=0,
+            universe="AB",
+            batch_window=0,
+            solver=SolverConfig(
+                chase=ChaseBudget(max_steps=10**6, max_rows=10**6)
+            ),
+        )
+        with serve_in_thread(config=config) as handle:
+            host, port = handle.address
+            with ServiceClient(host, port, client_id="runaway") as client:
+                sent = time.monotonic()
+                with pytest.raises(ServiceError) as excinfo:
+                    client.solve(
+                        [SUCCESSOR_PREMISE], SUCCESSOR_CONCLUSION, deadline_ms=300
+                    )
+                assert excinfo.value.status == 504
+                assert excinfo.value.code == protocol.ERROR_DEADLINE_EXCEEDED
+                coalescer = handle.service.coalescer
+                while coalescer.in_flight_batches and time.monotonic() - sent < 2.0:
+                    time.sleep(0.01)
+                assert coalescer.in_flight_batches == 0
 
     def test_generous_deadline_does_not_disturb_the_answer(self):
         config = ServiceConfig(port=0, universe="ABC", batch_window=0.001)

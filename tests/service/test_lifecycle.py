@@ -121,6 +121,12 @@ class TestCli:
         assert config.per_client_in_flight == 3
         assert config.drain_timeout == 5.0
 
+    def test_retired_processes_flag_is_a_usage_error(self):
+        # --workers N is the only multi-core flag; argparse exits with 2.
+        with pytest.raises(SystemExit) as excinfo:
+            build_config(["--processes", "2"])
+        assert excinfo.value.code == 2
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         path = tmp_path / "service.json"
         path.write_text(json.dumps(ServiceConfig(port=1234, universe="AB").to_dict()))

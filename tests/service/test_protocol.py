@@ -124,7 +124,7 @@ class TestRequests:
 
 
 class TestSchemaVersioning:
-    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    @pytest.mark.parametrize("version", [0, 2, "1", None, True])
     def test_request_schema_mismatch_is_rejected(self, version):
         payload = {"premises": [], "conclusion": "A -> B"}
         if version is not None:
@@ -228,6 +228,12 @@ class TestResumeRequests:
                 "checkpoint_token": "chase-x.jsonl",
                 "conclusion": "A -> B",
                 "max_rows": "many",
+            },
+            {
+                "schema": 1,
+                "checkpoint_token": "chase-x.jsonl",
+                "conclusion": "A -> B",
+                "max_steps": True,
             },
         ],
     )
