@@ -8,7 +8,8 @@ Four workloads compare the chase's scheduling strategies head-to-head:
   is a single row per round while the tableau keeps growing, which is
   exactly the shape the incremental trigger index exists for: rescan pays a
   full re-enumeration of every homomorphism each round, the incremental
-  strategy only extends matches through the one new row.
+  strategy only extends matches through the one new row.  Each row also
+  times the default path, incremental on the bitset kernel.
 * **merge-cascade** -- a second chain ``w1 -> w2 -> ...`` anchored at the
   base chain's ``v0`` chased with the fd ``A -> B`` in egd form.  Exactly
   one merge fires per round (``w_i`` collapses into ``v_i``), and each merge
@@ -47,6 +48,12 @@ Four workloads compare the chase's scheduling strategies head-to-head:
   classic matcher by >= 2x on the 512-row size (CI gate, skipped when the
   ``[fast]`` extra is absent); the dependency-free bitset backend must stay
   at >= 0.9x parity, so turning the kernel on without numpy never costs.
+* **budget-bound-chain** -- the successor chain under a step budget, with
+  the same three matchers.  Every step re-validates a non-total td: the
+  classic matcher scans the tableau for a witness row, the kernel answers
+  from its column mirror.  The bitset path must beat the classic matcher
+  by >= 5x on the 192-link chain (CI gate), or the default path has
+  started scanning again.
 
 Every timing is the **median of ``REPEATS`` runs after one warmup run**, so
 the CI regression gates compare medians instead of single noisy
@@ -113,6 +120,10 @@ SMOKE_SUCCESSOR = (48, 48)
 #: that the log's fixed per-run costs (header, exhaustion snapshot) amortize
 #: the way they do in the budget-bound runs checkpointing exists for.
 CHECKPOINT_GATE_SIZE = (192, 192)
+#: (chain length, step budget) pairs for the budget-bound successor chain;
+#: the first is the gated size, the second the plain successor query of the
+#: end-to-end benchmark's cold workload (the default 2,000-step budget).
+BUDGET_BOUND_SIZES = [CHECKPOINT_GATE_SIZE, (96, 2000)]
 SMOKE_CASCADE = 64
 SMOKE_SHARDED = (8, 12)
 
@@ -238,19 +249,28 @@ def run_strategy(instance, dependencies, strategy, max_steps=200000, repeats=REP
     return result, statistics.median(times)
 
 
-def compare(instance, dependencies, max_steps=200000, repeats=REPEATS):
-    """Run rescan + incremental, assert identical results, return timings."""
+def _assert_same_result(actual, expected):
+    assert actual.relation == expected.relation
+    assert actual.status == expected.status
+    assert actual.steps == expected.steps
+    assert dict(actual.canon) == dict(expected.canon)
+
+
+def compare(instance, dependencies, max_steps=200000, repeats=REPEATS, bitset=False):
+    """Run rescan + incremental, assert identical results, return timings.
+
+    ``incremental_s`` is the classic matcher (see :func:`run_strategy`);
+    ``bitset=True`` adds the default path, incremental on the bitset kernel,
+    as ``bitset_s`` and its speedup over the classic matcher.
+    """
     rescan, rescan_time = run_strategy(
         instance, dependencies, "rescan", max_steps, repeats
     )
     incremental, incremental_time = run_strategy(
         instance, dependencies, "incremental", max_steps, repeats
     )
-    assert incremental.relation == rescan.relation
-    assert incremental.status == rescan.status
-    assert incremental.steps == rescan.steps
-    assert dict(incremental.canon) == dict(rescan.canon)
-    return {
+    _assert_same_result(incremental, rescan)
+    entry = {
         "final_rows": len(rescan.relation),
         "steps": rescan.steps,
         "status": rescan.status.value,
@@ -258,6 +278,18 @@ def compare(instance, dependencies, max_steps=200000, repeats=REPEATS):
         "incremental_s": round(incremental_time, 6),
         "speedup": round(rescan_time / incremental_time, 2),
     }
+    if bitset:
+        result, bitset_time = run_strategy(
+            instance,
+            dependencies,
+            IncrementalStrategy(kernel="bitset"),
+            max_steps,
+            repeats,
+        )
+        _assert_same_result(result, rescan)
+        entry["bitset_s"] = round(bitset_time, 6)
+        entry["bitset_vs_incremental"] = round(incremental_time / bitset_time, 2)
+    return entry
 
 
 def compare_sharded(
@@ -299,10 +331,7 @@ def compare_sharded(
             result, elapsed = run_strategy(
                 instance, dependencies, strategy, max_steps, repeats
             )
-            assert result.relation == incremental.relation
-            assert result.status == incremental.status
-            assert result.steps == incremental.steps
-            assert dict(result.canon) == dict(incremental.canon)
+            _assert_same_result(result, incremental)
             entry[f"{label}{count}_s"] = round(elapsed, 6)
             entry[f"{label}{count}_executor"] = strategy.executor
             entry[f"{label}{count}_vs_incremental"] = round(
@@ -384,13 +413,31 @@ def compare_checkpoint(length, steps, repeats=REPEATS):
         shutil.rmtree(directory, ignore_errors=True)
 
 
-#: ``(chains, length, max_steps) -> report`` memo: the two kernel gates and
-#: the script-mode matrix share one measurement of the headline size.
+#: ``(workload, size..., max_steps) -> report`` memo: the kernel gates and the
+#: script-mode matrix share one measurement of each gated size.
 _KERNEL_REPORTS = {}
 
 
 def compare_kernel(chains, length, max_steps=120, repeats=REPEATS):
-    """Classic matcher vs the kernel's backends on the wide workload.
+    """Classic matcher vs the kernel's backends on the wide workload."""
+    key = ("kernel_wide", chains, length, max_steps)
+    if key not in _KERNEL_REPORTS:
+        instance, deps = sharded_wide_workload(chains, length)
+        _KERNEL_REPORTS[key] = kernel_report(instance, deps, max_steps, repeats)
+    return _KERNEL_REPORTS[key]
+
+
+def compare_budget_bound(length, steps, repeats=REPEATS):
+    """Classic matcher vs the kernel's backends on the budget-bound chain."""
+    key = ("budget_bound_chain", length, steps)
+    if key not in _KERNEL_REPORTS:
+        instance, deps = successor_chain_workload(length)
+        _KERNEL_REPORTS[key] = kernel_report(instance, deps, steps, repeats)
+    return _KERNEL_REPORTS[key]
+
+
+def kernel_report(instance, deps, max_steps, repeats=REPEATS):
+    """Time the classic matcher and each kernel backend on one workload.
 
     All runs are single-threaded ``IncrementalStrategy`` instances, so the
     ratios isolate the trigger-matching substrate from executor effects.
@@ -399,11 +446,6 @@ def compare_kernel(chains, length, max_steps=120, repeats=REPEATS):
     resolution.  The numpy column is present only when the ``[fast]`` extra
     is installed; the bitset column always is.
     """
-    key = (chains, length, max_steps)
-    cached = _KERNEL_REPORTS.get(key)
-    if cached is not None:
-        return cached
-    instance, deps = sharded_wide_workload(chains, length)
     classic, classic_time = run_strategy(
         instance, deps, IncrementalStrategy(kernel="off"), max_steps, repeats
     )
@@ -419,13 +461,9 @@ def compare_kernel(chains, length, max_steps=120, repeats=REPEATS):
         result, elapsed = run_strategy(
             instance, deps, IncrementalStrategy(kernel=backend), max_steps, repeats
         )
-        assert result.relation == classic.relation
-        assert result.status == classic.status
-        assert result.steps == classic.steps
-        assert dict(result.canon) == dict(classic.canon)
+        _assert_same_result(result, classic)
         entry[f"{backend}_s"] = round(elapsed, 6)
         entry[f"{backend}_vs_classic"] = round(classic_time / elapsed, 2)
-    _KERNEL_REPORTS[key] = entry
     return entry
 
 
@@ -627,6 +665,25 @@ def test_kernel_bitset_fallback_stays_at_parity():
     )
 
 
+def test_bitset_revalidation_5x_classic_on_budget_bound_chain():
+    """The re-validation gate (CI): the default path >= 5x the classic matcher.
+
+    Every step of the budget-bound successor chain re-validates a non-total
+    td.  The classic matcher scans the tableau for a witness row each time,
+    so its run grows quadratically with the budget; the bitset incremental
+    path answers from the kernel's column mirror.  A ratio below 5x means
+    the default path has gone back to scanning.
+    """
+    length, steps = BUDGET_BOUND_SIZES[0]
+    report = compare_budget_bound(length, steps)
+    assert report["bitset_vs_classic"] >= 5.0, (
+        f"bitset incremental only {report['bitset_vs_classic']}x vs the classic "
+        f"matcher on the {length}-link budget-bound chain "
+        f"(classic {report['classic_s'] * 1e3:.0f} ms, "
+        f"bitset {report['bitset_s'] * 1e3:.0f} ms)"
+    )
+
+
 # -- script mode: full matrix + BENCH_chase.json ------------------------------
 
 
@@ -635,7 +692,10 @@ def full_matrix():
     chain_rows = []
     for length, steps in SUCCESSOR_SIZES:
         instance, deps = successor_chain_workload(length)
-        entry = {"size": length, **compare(instance, deps, max_steps=steps)}
+        entry = {
+            "size": length,
+            **compare(instance, deps, max_steps=steps, bitset=True),
+        }
         chain_rows.append(entry)
     results["workloads"].append(
         {
@@ -708,6 +768,24 @@ def full_matrix():
             "sizes": kernel_rows,
         }
     )
+    budget_rows = []
+    for length, steps in BUDGET_BOUND_SIZES:
+        # repeats=1 past the gated size: the classic matcher's 2,000-step
+        # run is the most expensive measurement in the matrix.
+        repeats = REPEATS if (length, steps) == BUDGET_BOUND_SIZES[0] else 1
+        budget_rows.append(
+            {
+                "size": f"{length}/{steps}",
+                **compare_budget_bound(length, steps, repeats=repeats),
+            }
+        )
+    results["workloads"].append(
+        {
+            "name": "budget_bound_chain",
+            "grows": "chain length / step budget (columnar kernel vs classic)",
+            "sizes": budget_rows,
+        }
+    )
     return results
 
 
@@ -748,7 +826,7 @@ def main() -> None:
                     f"{row['overhead_pct']:>8.1f}%"
                 )
             continue
-        if workload["name"] == "kernel_wide":
+        if workload["name"] in ("kernel_wide", "budget_bound_chain"):
             print(
                 f"{'size':>6} {'rows':>6} {'steps':>6} "
                 f"{'classic':>10} {'bitset':>10} {'numpy':>10} "
@@ -776,14 +854,20 @@ def main() -> None:
             continue
         print(
             f"{'size':>6} {'rows':>6} {'steps':>6} "
-            f"{'rescan':>10} {'incremental':>12} {'speedup':>8}"
+            f"{'rescan':>10} {'incremental':>12} {'speedup':>8} "
+            f"{'bitset':>10} {'bitset-x':>9}"
         )
         for row in workload["sizes"]:
+            bitset = (
+                f"{row['bitset_s'] * 1e3:>8.1f}ms {row['bitset_vs_incremental']:>8.1f}x"
+                if "bitset_s" in row
+                else f"{'':>10} {'':>9}"
+            )
             print(
                 f"{row['size']:>6} {row['final_rows']:>6} {row['steps']:>6} "
                 f"{row['rescan_s'] * 1e3:>8.1f}ms "
                 f"{row['incremental_s'] * 1e3:>10.1f}ms "
-                f"{row['speedup']:>7.1f}x"
+                f"{row['speedup']:>7.1f}x {bitset}"
             )
     out = Path(__file__).parent / "BENCH_chase.json"
     out.write_text(json.dumps(results, indent=2) + "\n")

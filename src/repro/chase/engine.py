@@ -8,6 +8,14 @@ the same round may already have satisfied it.  Every applied step reports a
 when a round offers no trigger (``TERMINATED``) or when the step/row budget
 is exhausted (``BUDGET_EXHAUSTED``).
 
+Re-validation goes through the strategy when it offers a
+``trigger_is_active`` hook.  The incremental strategy on a kernel backend
+does: it answers from its column mirror of the live tableau with one mask
+computation.  Everything else -- rescan, ``chase_kernel="off"``, sharded,
+streaming, custom strategies, and the restored tail of a resumed round --
+uses :func:`~repro.chase.steps.trigger_is_active`, which scans the tableau
+for a witness row when the td's conclusion has existential values.
+
 **The strategy seam.**  Four strategies are provided:
 
 * ``"rescan"`` re-enumerates all homomorphisms of all dependency bodies
@@ -15,7 +23,8 @@ is exhausted (``BUDGET_EXHAUSTED``).
   reference oracle);
 * ``"incremental"`` (the default, via ``"auto"``) maintains a per-dependency
   trigger worklist updated from step deltas, so a round costs work
-  proportional to what changed instead of to the tableau size;
+  proportional to what changed instead of to the tableau size, and a step's
+  re-validation costs one kernel mask computation;
 * ``"sharded"`` partitions the incremental worklist across
   ``ChaseBudget.shard_count`` workers and merges their discoveries at each
   round barrier, keeping results byte-identical to the sequential
@@ -367,10 +376,17 @@ class ChaseEngine:
 
         ``strategy=None`` skips delta publication -- the resume path uses
         this for the restored pending tail, before the strategy starts.
+
+        Each trigger is re-validated through the strategy's own
+        ``trigger_is_active`` when it has one (the incremental strategy
+        answers from its kernel mirror without scanning the tableau), and
+        through the reference :func:`~repro.chase.steps.trigger_is_active`
+        otherwise.
         """
+        is_active = getattr(strategy, "trigger_is_active", None) or trigger_is_active
         for position, trigger in enumerate(round_triggers):
             _, compiled = self._positions[trigger.dependency]
-            alpha = trigger_is_active(state, trigger, compiled)
+            alpha = is_active(state, trigger, compiled)
             if alpha is None:
                 continue
             if steps >= self._max_steps or len(state.relation) >= self._max_rows:

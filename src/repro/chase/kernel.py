@@ -1,7 +1,7 @@
 """Columnar trigger-matching kernel: batched partial-match extension.
 
 The classic matching path (``extend_through`` -> ``homomorphisms``) probes
-the tableau one row at a time through dict buckets, and re-validates every
+the tableau one row at a time through dict buckets, and checks every
 candidate trigger with an O(|relation|) ``row_embeddings`` scan when the
 conclusion row is non-total.  This module replaces both inner loops with a
 columnar mirror of the tableau:
@@ -17,7 +17,10 @@ columnar mirror of the tableau:
   bound conclusion cells intersect their postings, the free (existential)
   cells restrict to the tag-compatible rows, and duplicated existential
   columns demand column equality.  The trigger is violated iff the mask
-  is empty.
+  is empty.  :meth:`TriggerKernel.violates` exposes the same check for
+  one canonicalized valuation, which is how the incremental strategy
+  answers the engine's per-step re-validation without scanning the
+  tableau.
 
 The mirror is maintained incrementally from the same ``TdDelta`` /
 ``EgdDelta`` stream that feeds ``RowIndex``; merged-away rows keep their
@@ -397,8 +400,9 @@ class TriggerKernel:
     relation, feed every step's delta to :meth:`apply_delta`, and ask for
     triggers with :meth:`find_triggers` (full scan, used at start-up) or
     :meth:`extend_through` (all matches through one changed row, the
-    incremental hot path).  Emitted valuations are exactly those the
-    classic ``extend_through`` emits for the same relation.
+    incremental hot path), and re-check one trigger with :meth:`violates`.
+    Emitted valuations are exactly those the classic ``extend_through``
+    emits for the same relation.
     """
 
     def __init__(self, relation: Relation, backend: str) -> None:
@@ -518,6 +522,18 @@ class TriggerKernel:
         for value in added:
             del binding[value]
         return None
+
+    def violates(self, cd: CompiledDependency, alpha: Valuation) -> bool:
+        """Whether ``alpha`` is an active trigger of ``cd`` on the mirror.
+
+        ``alpha`` must already be canonicalized against the tableau the
+        mirror holds.  Answers exactly what ``steps.violates`` answers for
+        that tableau, with one mask computation instead of a
+        ``row_embeddings`` scan.  A trivial egd is never violated.
+        """
+        if not cd.is_td:
+            return not cd.trivial and alpha(cd.left) != alpha(cd.right)
+        return self._violates(cd, self._plan(cd), alpha.as_dict())
 
     def _violates(
         self, cd: CompiledDependency, plan: _Plan, binding: Dict[Value, Value]

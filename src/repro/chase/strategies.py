@@ -2,9 +2,9 @@
 
 The engine's round loop is strategy-agnostic: at the top of each round it
 asks its :class:`ChaseStrategy` for the triggers to consider, applies them
-one at a time (re-validating each, exactly as before), and feeds every
-resulting :class:`~repro.chase.steps.StepDelta` back to the strategy.  The
-implementations answer "which triggers?" very differently:
+one at a time (re-validating each against the live tableau), and feeds
+every resulting :class:`~repro.chase.steps.StepDelta` back to the strategy.
+The implementations answer "which triggers?" very differently:
 
 * :class:`RescanStrategy` re-enumerates *all* homomorphisms of *all*
   dependency bodies against the *whole* tableau every round --
@@ -15,7 +15,10 @@ implementations answer "which triggers?" very differently:
   the rewritten rows of a merge (egd step) are the only places a *new*
   homomorphism can appear, so only partial matches through those rows are
   extended, once per round at the barrier.  A round then costs work
-  proportional to what changed.
+  proportional to what changed.  On a kernel backend each step also lands
+  on the kernel's column mirror as it applies, so the engine's per-step
+  re-validation is answered from the mirror with one mask computation
+  instead of a row-by-row scan of the tableau.
 * :class:`ShardedStrategy` partitions the per-dependency worklist of the
   incremental strategy across ``shard_count`` workers and runs each shard's
   trigger extension in parallel, merging the per-shard results at the round
@@ -41,6 +44,7 @@ import os
 import weakref
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -62,6 +66,7 @@ from repro.chase.steps import (
     TdDelta,
     Trigger,
     find_triggers,
+    trigger_is_active,
     violates,
 )
 from repro.config import DEFAULT_SHARD_COUNT
@@ -86,6 +91,11 @@ class ChaseStrategy(Protocol):
     against the live tableau before applying it -- but a strategy must never
     *omit* a trigger that is active at the start of a round, or the chase
     would stop being a complete semi-decision procedure.
+
+    A strategy may also define ``trigger_is_active(state, trigger,
+    compiled)`` with the contract of
+    :func:`repro.chase.steps.trigger_is_active`; the engine then
+    re-validates through it instead of through the reference check.
     """
 
     name: str
@@ -173,11 +183,14 @@ class IncrementalStrategy:
 
     ``kernel`` opts the matching itself onto the columnar kernel
     (:mod:`repro.chase.kernel`): seeding and barrier extension then run as
-    batched posting-list / vectorized passes over a column mirror that
-    takes the round's deltas before any extension runs, instead of
-    dict-probing ``homomorphisms`` calls.  Any
-    :data:`~repro.chase.kernel.KERNEL_MODES` value is accepted; the trigger
-    sets (and therefore the chase results) are byte-identical either way.
+    batched posting-list / vectorized passes over a column mirror, instead
+    of dict-probing ``homomorphisms`` calls.  :meth:`observe` lands each
+    step on the mirror as it applies (discovery still waits for the
+    barrier), so the mirror always holds the live tableau and
+    :meth:`trigger_is_active` answers the engine's per-step re-validation
+    with one mask computation.  Any :data:`~repro.chase.kernel.KERNEL_MODES`
+    value is accepted; the trigger sets (and therefore the chase results)
+    are byte-identical either way.
     """
 
     name = "incremental"
@@ -219,11 +232,27 @@ class IncrementalStrategy:
         deltas, self._pending = self._pending, []
         if not deltas:
             return []
-        return _to_triggers(self._compiled, self._core.barrier(deltas))
+        # observe() already mirrored every delta; only discovery is left.
+        return _to_triggers(self._compiled, self._core.extend(deltas))
 
     def observe(self, delta: StepDelta) -> None:
         if not delta.is_noop:
+            self._core.advance(delta)
             self._pending.append(delta)
+
+    def trigger_is_active(
+        self, state: ChaseState, trigger: Trigger, compiled: CompiledDependency
+    ) -> Optional[Valuation]:
+        """The engine's re-validation, answered from the kernel mirror.
+
+        Same contract as :func:`repro.chase.steps.trigger_is_active`, which
+        it falls back to on the classic matcher (``kernel="off"``).
+        """
+        kernel = self._core.kernel
+        if kernel is None:
+            return trigger_is_active(state, trigger, compiled)
+        alpha = state.canonicalize(trigger.valuation)
+        return alpha if kernel.violates(compiled, alpha) else None
 
 
 def extend_through(
@@ -424,6 +453,12 @@ class _ShardCore:
     TriggerKernel` mirror: each core advances its own column arrays from
     the delta stream it is fed, so two cores never double-apply a delta to
     shared kernel state.
+
+    A round is two halves: :meth:`advance` lands one delta on the core's
+    mirrors, and :meth:`extend` then discovers new triggers through the
+    round's changed rows.  :meth:`barrier` runs both at the round barrier;
+    the incremental strategy advances per step instead, so its kernel
+    mirror tracks the live tableau between barriers.
     """
 
     def __init__(
@@ -437,14 +472,14 @@ class _ShardCore:
         self._state = state
         self._owns_state = owns_state
         self._seen: Set[Tuple[int, Valuation]] = set()
-        self._kernel = (
+        self.kernel = (
             TriggerKernel(state.relation, kernel) if kernel is not None else None
         )
 
     def seed(self) -> List[Tuple[int, Valuation]]:
         """Initial triggers of this shard's dependencies (one full scan)."""
         out: List[Tuple[int, Valuation]] = []
-        kernel = self._kernel
+        kernel = self.kernel
         if kernel is not None:
             for position, cd in self._members:
                 kernel.find_triggers(
@@ -459,44 +494,56 @@ class _ShardCore:
 
     def barrier(self, deltas: Sequence[StepDelta]) -> List[Tuple[int, Valuation]]:
         """Merge one round's deltas, then extend matches through changed rows."""
-        state = self._state
+        for delta in deltas:
+            self.advance(delta)
+        return self.extend(deltas)
+
+    def advance(self, delta: StepDelta) -> None:
+        """Land one applied step on this core's private state and kernel.
+
+        Each delta must land exactly once, in step order: re-applying an
+        early merge's delta after a later merge would bring back rows the
+        later merge removed.
+        """
         if self._owns_state:
-            for delta in deltas:
-                replay_delta(state, delta)
-        kernel = self._kernel
-        if kernel is not None:
-            # The whole round lands on the mirror before any extension runs,
-            # matching the classic path (whose row index is already post-round
-            # here) -- only the *final* relation hosts witnesses.
-            for delta in deltas:
-                kernel.apply_delta(delta)
-        relation = state.relation
-        index = None if kernel is not None else state.row_index.attr_buckets
-        out: List[Tuple[int, Valuation]] = []
-        visited: Set[Row] = set()
+            replay_delta(self._state, delta)
+        if self.kernel is not None:
+            self.kernel.apply_delta(delta)
+
+    def extend(
+        self,
+        deltas: Sequence[StepDelta],
+        visited: Optional[Set[Row]] = None,
+        out: Optional[List[Tuple[int, Valuation]]] = None,
+    ) -> List[Tuple[int, Valuation]]:
+        """Extend matches through the changed rows of already-landed deltas.
+
+        A row is extended through once per round (``visited`` carries the
+        rows done so far), and rows rewritten away by a later merge are
+        skipped: every new homomorphism also routes through their
+        post-rewrite images, which are some later delta's rows.  Only the
+        current relation hosts witnesses, so every delta passed here must
+        already have gone through :meth:`advance`.
+        """
+        visited = set() if visited is None else visited
+        out = [] if out is None else out
+        kernel = self.kernel
+        relation = self._state.relation
+        index = None if kernel is not None else self._state.row_index.attr_buckets
+        emitters = [
+            (cd, partial(self._emit, position, out=out))
+            for position, cd in self._members
+        ]
         for delta in deltas:
             for row in delta.changed_rows:
-                # Rows rewritten away by a later merge in the same round are
-                # skipped: every new homomorphism also routes through the
-                # post-rewrite images, which are some later delta's rows.
                 if row in visited or row not in relation:
                     continue
                 visited.add(row)
-                for position, cd in self._members:
+                for cd, emit in emitters:
                     if kernel is not None:
-                        kernel.extend_through(
-                            cd,
-                            row,
-                            lambda alpha, p=position: self._emit(p, alpha, out),
-                        )
+                        kernel.extend_through(cd, row, emit)
                     else:
-                        extend_through(
-                            cd,
-                            row,
-                            relation,
-                            index,
-                            lambda alpha, p=position: self._emit(p, alpha, out),
-                        )
+                        extend_through(cd, row, relation, index, emit)
         return out
 
     def _emit(
@@ -944,40 +991,13 @@ class _StreamCore(_ShardCore):
         return out
 
     def _apply(self, delta: StepDelta) -> None:
-        state = self._state
-        if self._owns_state:
-            replay_delta(state, delta)
-        kernel = self._kernel
-        if kernel is not None:
-            # One delta at a time: the mirror tracks the as-of-step-i
-            # tableau the streaming overlap is defined against.
-            kernel.apply_delta(delta)
-        relation = state.relation
-        index = None if kernel is not None else state.row_index.attr_buckets
-        for row in delta.changed_rows:
-            # Same skip discipline as _ShardCore.barrier: a row already
-            # extended this round cannot host a *new* homomorphism without
-            # some later delta's rows (which get their own extension), and
-            # a row rewritten away routes every new match through its
-            # post-rewrite images instead.
-            if row in self._visited or row not in relation:
-                continue
-            self._visited.add(row)
-            for position, cd in self._members:
-                if kernel is not None:
-                    kernel.extend_through(
-                        cd,
-                        row,
-                        lambda alpha, p=position: self._emit(p, alpha, self._out),
-                    )
-                else:
-                    extend_through(
-                        cd,
-                        row,
-                        relation,
-                        index,
-                        lambda alpha, p=position: self._emit(p, alpha, self._out),
-                    )
+        # One delta at a time: the mirrors track the as-of-step-i tableau
+        # the streaming overlap is defined against.  The skip discipline is
+        # the barrier's: a row already extended this round cannot host a
+        # *new* homomorphism without some later delta's rows (which get
+        # their own extension).
+        self.advance(delta)
+        self.extend((delta,), self._visited, self._out)
 
 
 def _stream_worker_main(

@@ -11,16 +11,21 @@ library reproduces.  Two sufficient termination conditions are implemented:
   library's decidable implication procedures are justified.
 * **weak acyclicity** (Fagin et al.): a condition on the flow of values from
   universal to existential positions, strictly more liberal than totality.
+
+Only the weak-acyclicity certificate needs networkx, and it imports it
+when called: no solve path asks for it, so ``import repro`` and the
+totality test stay dependency-free.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.dependencies.egd import EqualityGeneratingDependency
 from repro.dependencies.td import TemplateDependency
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 ChaseDependency = Union[TemplateDependency, EqualityGeneratingDependency]
 
@@ -50,6 +55,8 @@ def dependency_graph(dependencies: Sequence[ChaseDependency]) -> nx.MultiDiGraph
       a special edge ``A -> B`` (the fresh value created there depends on
       ``x``).
     """
+    import networkx as nx
+
     graph = nx.MultiDiGraph()
     for dependency in dependencies:
         if not isinstance(dependency, TemplateDependency):
@@ -87,6 +94,8 @@ def is_weakly_acyclic(dependencies: Sequence[ChaseDependency]) -> bool:
     polynomially many steps (in the instance size), so the chase decides both
     implication and finite implication for such a set.
     """
+    import networkx as nx
+
     graph = dependency_graph(dependencies)
     for component in nx.strongly_connected_components(graph):
         if len(component) == 1:

@@ -16,18 +16,25 @@ that equivalence at two levels:
   byte-identical to kernel-off runs: same relation (fresh nulls included),
   same status, canon map, and step count -- with numpy present AND absent
   (the latter via ``sys.modules`` patching, which the kernel's fresh-import
-  discipline is designed for).
+  discipline is designed for);
+* **step level** -- every per-step re-validation the incremental strategy
+  answers from its kernel mirror must equal the reference
+  ``steps.trigger_is_active`` on the live state, and the default path must
+  never scan the tableau for a witness row.
 
 Cases come from the shared ``random_case`` generator
 (``tests/chase/conftest.py``), so every instance holds at least one active
 trigger and the trigger-level comparisons are never vacuous.
 """
 
+import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import repro.chase.steps as steps_module
 from repro.chase import chase
 from repro.chase.engine import _valuation_key
 from repro.chase.kernel import (
@@ -47,6 +54,11 @@ from repro.chase.strategies import (
 )
 from repro.chase.strategies import extend_through as classic_extend_through
 from repro.config import ChaseBudget, ConfigError, SolverConfig
+from repro.dependencies import EqualityGeneratingDependency, TemplateDependency
+from repro.model.attributes import Universe
+from repro.model.relations import Relation
+from repro.model.tuples import Row
+from repro.model.values import untyped
 
 try:
     import numpy  # noqa: F401
@@ -200,6 +212,127 @@ def test_kernel_process_executor_identical(factory, random_case):
     result = chase(instance, deps, budget=budget, strategy=strategy)
     assert strategy.kernel in ("numpy", "bitset")
     _assert_same_result(result, off, factory.__name__)
+
+
+# -- per-step re-validation ----------------------------------------------------
+
+AB = Universe.from_names("AB")
+ABC = Universe.from_names("ABC")
+
+
+def _non_total_case(seed: int):
+    """Untyped successor tds mixed with the fd ``A -> B`` in egd form.
+
+    The shared generator's tds rarely reach re-validation with an
+    existential conclusion value, so this family supplies the non-total
+    checks: the ``pair`` td's existential fills two columns (a witness must
+    repeat one value, the kernel's ``concl_groups`` path), rows sharing a
+    B-value make one step satisfy a later trigger of the same round, and
+    the egd's merges make triggers stale.
+    """
+    rng = random.Random(seed)
+    body = Relation.untyped(ABC, [["x", "y", "z"]])
+    tds = [
+        TemplateDependency(Row.untyped_over(ABC, ["y", "w", "w"]), body, name="pair"),
+        TemplateDependency(Row.untyped_over(ABC, ["z", "y", "w"]), body, name="next"),
+    ]
+    fd_body = Relation.untyped(ABC, [["u", "p", "s"], ["u", "q", "t"]])
+    egd = EqualityGeneratingDependency(untyped("p"), untyped("q"), fd_body, name="fd")
+    deps = rng.sample(tds, rng.randint(1, 2)) + [egd]
+    domain = rng.randint(2, 4)
+    instance = Relation.untyped(
+        ABC,
+        [
+            [f"v{rng.randrange(domain)}" for _ in range(3)]
+            for _ in range(rng.randint(2, 5))
+        ],
+    )
+    budget = ChaseBudget(max_steps=rng.choice([10, 30, 60]), max_rows=500)
+    return instance, deps, budget
+
+
+class _CheckedStrategy(IncrementalStrategy):
+    """Runs the reference re-validation beside every kernel answer.
+
+    Both see the same live state, so any divergence between the mirror and
+    the tableau, or between the mask check and ``row_embeddings``, fails
+    on the step where it first appears.
+    """
+
+    def __init__(self, kernel: str, cells: Counter) -> None:
+        super().__init__(kernel=kernel)
+        self._cells = cells
+
+    def trigger_is_active(self, state, trigger, compiled):
+        fast = super().trigger_is_active(state, trigger, compiled)
+        reference = steps_module.trigger_is_active(state, trigger, compiled)
+        assert fast == reference, f"{trigger!r}: kernel {fast!r}, scan {reference!r}"
+        if not compiled.is_td:
+            kind = "egd"
+        else:
+            kind = "total td" if compiled.is_total else "non-total td"
+        self._cells[kind, fast is not None] += 1
+        return fast
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernel_revalidation_matches_reference_at_every_step(backend, random_case):
+    """The mirror's answer equals ``steps.trigger_is_active`` on every step."""
+    cases = [random_case(seed) for seed in range(8000, 8100)]
+    cases += [_non_total_case(seed) for seed in range(8100, 8160)]
+    cells: Counter = Counter()
+    for instance, deps, budget in cases:
+        strategy = _CheckedStrategy(backend, cells)
+        chase(instance, deps, budget=budget, strategy=strategy)
+        assert strategy.kernel == backend
+    for kind in ("egd", "total td", "non-total td"):
+        for active in (True, False):
+            assert cells[kind, active] >= 10, (
+                f"{kind} {'active' if active else 'inactive'}: "
+                f"{cells[kind, active]} checks ({dict(cells)})"
+            )
+
+
+@pytest.mark.parametrize(
+    "strategy, scans",
+    [
+        (lambda: IncrementalStrategy(kernel="bitset"), False),
+        (lambda: IncrementalStrategy(kernel="off"), True),
+        (lambda: "rescan", True),
+    ],
+    ids=["bitset", "classic", "rescan"],
+)
+def test_default_path_never_scans_for_a_witness(monkeypatch, strategy, scans):
+    """The kernel path re-validates without ``row_embeddings``; the rest scan.
+
+    Counts witness scans over a 200-step successor chase: zero on the bitset
+    incremental path, at least one per applied step on the classic matcher
+    and on the rescan oracle, which keep the reference check.
+    """
+    calls = 0
+    real = steps_module.row_embeddings
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(steps_module, "row_embeddings", counting)
+    successor = TemplateDependency(
+        Row.untyped_over(AB, ["y", "z"]), Relation.untyped(AB, [["x", "y"]])
+    )
+    instance = Relation.untyped(AB, [[f"v{i}", f"v{i + 1}"] for i in range(8)])
+    result = chase(
+        instance,
+        [successor],
+        budget=ChaseBudget(max_steps=200, max_rows=1000),
+        strategy=strategy(),
+    )
+    assert result.steps == 200
+    if scans:
+        assert calls >= result.steps
+    else:
+        assert calls == 0
 
 
 # -- resolution and plumbing ---------------------------------------------------

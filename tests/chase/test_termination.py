@@ -1,5 +1,11 @@
 """Tests for the chase termination certificates."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.chase import (
@@ -97,3 +103,33 @@ def test_dependency_graph_edges(total_td, cyclic_td):
         if data.get("special")
     }
     assert ("B", "B") in specials
+
+
+def test_solving_never_imports_networkx():
+    """Only the weak-acyclicity certificate needs networkx.
+
+    The base install is dependency-free, so ``import repro.api`` and a solve
+    through the chase must work with networkx unimportable.  A subprocess
+    keeps the blocked import from leaking into the rest of the suite.
+    """
+    script = textwrap.dedent(
+        """
+        import sys
+
+        sys.modules["networkx"] = None
+        from repro.api import Solver
+
+        outcome = Solver(universe="ABC").implies(["A ->> B", "B ->> C"], "A ->> C")
+        assert outcome.verdict.value == "implied", outcome.verdict
+        assert sys.modules["networkx"] is None
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[2] / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
