@@ -1,4 +1,4 @@
-"""E16 -- chase substrate: rescan vs. incremental vs. sharded vs. streaming.
+"""E16 -- chase substrate: rescan vs. incremental vs. sharded.
 
 Four workloads compare the chase's scheduling strategies head-to-head:
 
@@ -31,12 +31,9 @@ Four workloads compare the chase's scheduling strategies head-to-head:
   every dependency and the egd merges rewrite rows that every shard's tds
   then extend through.  This is the workload the sharded strategy
   partitions: per-dependency trigger discovery fans out across workers and
-  the per-shard results merge at the round barrier.  The streaming
-  strategy is measured on the same workload at the same shard counts --
-  same partition, but each step's delta is fed to the workers the moment
-  it applies, so discovery overlaps the round's tail instead of waiting
-  for the barrier.  The CI gate requires streaming to stay within noise
-  of (or beat) sharded here.
+  the per-shard results merge at the round barrier.  Each row also times
+  the default path, incremental on the bitset kernel, so the sharded
+  columns read against what an unconfigured solve actually runs.
 * **checkpoint-overhead** -- the successor chain again, incremental, with
   and without the durable delta log (``CheckpointConfig(mode="on")``).
   The gated column: the log's buffered step appends and per-round flushes
@@ -76,11 +73,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.chase import chase
-from repro.chase.strategies import (
-    IncrementalStrategy,
-    ShardedStrategy,
-    StreamingStrategy,
-)
+from repro.chase.strategies import IncrementalStrategy, ShardedStrategy
 from repro.config import ChaseBudget, CheckpointConfig
 from repro.dependencies import (
     EqualityGeneratingDependency,
@@ -299,47 +292,46 @@ def compare_sharded(
     shard_counts=SHARD_COUNTS,
     repeats=REPEATS,
 ):
-    """Run incremental + sharded + streaming; assert identity, time all.
+    """Run incremental, the default path and sharded; assert identity, time all.
 
+    ``incremental_s`` and the sharded runs pin the classic matcher (see
+    :func:`run_strategy`); ``default_s`` is the default path, incremental
+    on the bitset kernel, the same strategy ``compare(bitset=True)`` times.
     ``shardedN_vs_incremental`` is the incremental/sharded median-time ratio
-    (> 1 means the shard fan-out wins); ``streamingN_vs_sharded`` is the
-    sharded/streaming ratio at the same shard count (> 1 means the
-    incremental delta feed beats the barrier-batched one).  The resolved
-    executor is recorded per strategy and shard count: multi-CPU machines
-    cross ``SHARDED_PROCESS_THRESHOLD`` into the process pool on the bigger
-    sizes, single-CPU machines keep the threaded fallback.
+    and ``shardedN_vs_default`` the default/sharded one (> 1 means the shard
+    fan-out wins).  The resolved executor is recorded per shard count:
+    multi-CPU machines cross ``SHARDED_PROCESS_THRESHOLD`` into the process
+    pool on the bigger sizes, single-CPU machines keep the threaded
+    fallback.
     """
     incremental, incremental_time = run_strategy(
         instance, dependencies, "incremental", max_steps, repeats
     )
+    default, default_time = run_strategy(
+        instance, dependencies, IncrementalStrategy(kernel="bitset"), max_steps, repeats
+    )
+    _assert_same_result(default, incremental)
     entry = {
         "final_rows": len(incremental.relation),
         "steps": incremental.steps,
         "status": incremental.status.value,
         "incremental_s": round(incremental_time, 6),
+        "default_s": round(default_time, 6),
     }
     for count in shard_counts:
-        for label, factory in (
-            ("sharded", ShardedStrategy),
-            ("streaming", StreamingStrategy),
-        ):
-            strategy = factory(
-                shard_count=count,
-                process_threshold=SHARDED_PROCESS_THRESHOLD,
-                kernel="off",
-            )
-            result, elapsed = run_strategy(
-                instance, dependencies, strategy, max_steps, repeats
-            )
-            _assert_same_result(result, incremental)
-            entry[f"{label}{count}_s"] = round(elapsed, 6)
-            entry[f"{label}{count}_executor"] = strategy.executor
-            entry[f"{label}{count}_vs_incremental"] = round(
-                incremental_time / elapsed, 2
-            )
-        entry[f"streaming{count}_vs_sharded"] = round(
-            entry[f"sharded{count}_s"] / entry[f"streaming{count}_s"], 2
+        strategy = ShardedStrategy(
+            shard_count=count,
+            process_threshold=SHARDED_PROCESS_THRESHOLD,
+            kernel="off",
         )
+        result, elapsed = run_strategy(
+            instance, dependencies, strategy, max_steps, repeats
+        )
+        _assert_same_result(result, incremental)
+        entry[f"sharded{count}_s"] = round(elapsed, 6)
+        entry[f"sharded{count}_executor"] = strategy.executor
+        entry[f"sharded{count}_vs_incremental"] = round(incremental_time / elapsed, 2)
+        entry[f"sharded{count}_vs_default"] = round(default_time / elapsed, 2)
     return entry
 
 
@@ -571,42 +563,6 @@ def test_sharded_holds_up_on_wide_workload():
     )
 
 
-def test_streaming_within_noise_of_sharded_on_wide_workload():
-    """The streaming regression gate (CI): the incremental delta feed must
-    stay within noise of -- or beat -- the barrier-batched sharded feed on
-    the workload both partition.
-
-    Streaming does strictly more bookkeeping than sharded (per-delta
-    messages, a reorder buffer, mirror replay even in thread mode), and
-    pays it back by overlapping discovery with the round's tail.  If the
-    ratio collapses below the floor, the feed has lost the overlap (or
-    grown a pathological per-message cost) and this fails loudly.  The bar
-    is CPU-aware like the sharded gate: single-CPU hosts cannot overlap,
-    so the threaded pipeline merely must not collapse.
-    """
-    chains, length = SMOKE_SHARDED
-    instance, deps = sharded_wide_workload(chains, length)
-    report = compare_sharded(instance, deps, max_steps=220)
-    ratios = [report[f"streaming{count}_vs_sharded"] for count in SHARD_COUNTS]
-    # A pinned-thread pair keeps the gate robust on loaded shared runners
-    # (worker-process spawn noise hits both strategies, but not equally).
-    sharded_thread = ShardedStrategy(shard_count=2, executor="thread", kernel="off")
-    _, sharded_time = run_strategy(instance, deps, sharded_thread, max_steps=220)
-    streaming_thread = StreamingStrategy(
-        shard_count=2, executor="thread", kernel="off"
-    )
-    _, streaming_time = run_strategy(
-        instance, deps, streaming_thread, max_steps=220
-    )
-    ratios.append(round(sharded_time / streaming_time, 2))
-    floor = 0.70 if (os.cpu_count() or 1) > 1 else 0.45
-    best = max(ratios)
-    assert best >= floor, (
-        f"streaming regressed to {best}x of sharded on the wide workload "
-        f"(floor {floor}, ratios {ratios}, report {report})"
-    )
-
-
 def test_checkpoint_overhead_within_ten_percent():
     """The durability gate (CI): the delta log must cost <= 10% wall time.
 
@@ -796,21 +752,20 @@ def main() -> None:
         if workload["name"] == "sharded_wide":
             print(
                 f"{'size':>6} {'rows':>6} {'steps':>6} "
-                f"{'incremental':>12} {'sharded2':>10} {'sharded4':>10} "
-                f"{'stream2':>9} {'stream4':>9} {'stream-vs-shard':>15}"
+                f"{'incremental':>12} {'default':>10} {'sharded2':>10} "
+                f"{'sharded4':>10} {'shard-vs-default':>16}"
             )
             for row in workload["sizes"]:
-                best_stream = max(
-                    row[f"streaming{count}_vs_sharded"] for count in SHARD_COUNTS
+                best_shard = max(
+                    row[f"sharded{count}_vs_default"] for count in SHARD_COUNTS
                 )
                 print(
                     f"{row['size']:>6} {row['final_rows']:>6} {row['steps']:>6} "
                     f"{row['incremental_s'] * 1e3:>10.1f}ms "
+                    f"{row['default_s'] * 1e3:>8.1f}ms "
                     f"{row['sharded2_s'] * 1e3:>8.1f}ms "
                     f"{row['sharded4_s'] * 1e3:>8.1f}ms "
-                    f"{row['streaming2_s'] * 1e3:>7.1f}ms "
-                    f"{row['streaming4_s'] * 1e3:>7.1f}ms "
-                    f"{best_stream:>14.2f}x"
+                    f"{best_shard:>15.2f}x"
                 )
             continue
         if workload["name"] == "checkpoint_overhead":

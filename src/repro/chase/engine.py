@@ -12,11 +12,11 @@ Re-validation goes through the strategy when it offers a
 ``trigger_is_active`` hook.  The incremental strategy on a kernel backend
 does: it answers from its column mirror of the live tableau with one mask
 computation.  Everything else -- rescan, ``chase_kernel="off"``, sharded,
-streaming, custom strategies, and the restored tail of a resumed round --
-uses :func:`~repro.chase.steps.trigger_is_active`, which scans the tableau
-for a witness row when the td's conclusion has existential values.
+custom strategies, and the restored tail of a resumed round -- uses
+:func:`~repro.chase.steps.trigger_is_active`, which scans the tableau for a
+witness row when the td's conclusion has existential values.
 
-**The strategy seam.**  Four strategies are provided:
+**The strategy seam.**  Three strategies are provided:
 
 * ``"rescan"`` re-enumerates all homomorphisms of all dependency bodies
   against the whole tableau every round (the historical engine, kept as the
@@ -28,12 +28,7 @@ for a witness row when the td's conclusion has existential values.
 * ``"sharded"`` partitions the incremental worklist across
   ``ChaseBudget.shard_count`` workers and merges their discoveries at each
   round barrier, keeping results byte-identical to the sequential
-  strategies (the canonicalize/dedupe/sort below is the merge point);
-* ``"streaming"`` keeps the sharded partition but consumes the engine's
-  per-step delta publication incrementally: each applied step's delta is
-  forwarded to the shard workers immediately, so trigger discovery for the
-  next round overlaps the application of the current round's tail and the
-  barrier only drains results.
+  strategies (the canonicalize/dedupe/sort below is the merge point).
 
 Pick one with ``ChaseBudget(chase_strategy="rescan")`` (or the ``strategy``
 keyword of :class:`ChaseEngine` / :func:`chase`, which overrides the budget
@@ -46,7 +41,7 @@ trigger found in round ``r`` is applied (or discovered to be satisfied)
 before any trigger first found in round ``r + 1``.  Fairness is what makes
 the chase a sound and complete semi-decision procedure for unrestricted
 implication; the explicit budget is what keeps the engine total despite the
-undecidability the paper proves.  To keep the two strategies byte-identical,
+undecidability the paper proves.  To keep the strategies byte-identical,
 the engine canonicalizes, deduplicates, and deterministically orders each
 round's candidates before applying them -- the per-round *sets* of active
 triggers provably coincide (a new homomorphism must route through a changed
@@ -129,11 +124,10 @@ class ChaseEngine:
         defaults to ``ChaseBudget()``).
     strategy:
         Scheduling override: ``"rescan"``, ``"incremental"``, ``"sharded"``,
-        ``"streaming"``, ``"auto"``, or a
-        :class:`~repro.chase.strategies.ChaseStrategy` instance.  ``None``
-        (the default) defers to ``budget.chase_strategy``; the sharded and
-        streaming strategies read their worker count from
-        ``budget.shard_count``.
+        ``"auto"``, or a :class:`~repro.chase.strategies.ChaseStrategy`
+        instance.  ``None`` (the default) defers to
+        ``budget.chase_strategy``; the sharded strategy reads its worker
+        count from ``budget.shard_count``.
     max_steps, max_rows:
         Deprecated kwarg equivalents of ``budget``; explicit values override
         the corresponding budget fields.
@@ -298,8 +292,7 @@ class ChaseEngine:
                 # the live state exactly like the original run did, and the
                 # strategy then seeds its worklist from the post-tail
                 # tableau -- which provably reproduces the uninterrupted
-                # run's next round for every strategy (streaming included,
-                # whose delta feed would otherwise lag the tail by a round).
+                # run's next round for every strategy.
                 if writer is not None:
                     writer.round(rounds, resume.pending)
                 steps, exhausted = self._apply_round(
@@ -399,10 +392,9 @@ class ChaseEngine:
                 delta = apply_egd_step(
                     state, trigger.dependency, alpha, initial_values
                 )
-            # Publish the step's delta to the strategy *immediately*: a
-            # streaming strategy forwards it to its shard workers before
-            # the engine re-validates the next trigger, which is what
-            # lets next-round discovery overlap this round's tail.
+            # Publish the step's delta before the next trigger is
+            # re-validated: the incremental strategy lands it on the kernel
+            # mirror that answers that re-validation.
             if strategy is not None:
                 strategy.observe(delta)
             steps += 1
@@ -601,7 +593,8 @@ def resume_chase(
     budget -- right for crash recovery, which finishes the originally
     budgeted work; a run that ended ``BUDGET_EXHAUSTED`` needs a raised
     budget to make progress.  ``strategy`` / ``trace`` default to the log's
-    settings.
+    settings; a log whose header names a retired strategy resumes under its
+    replacement (see :meth:`~repro.config.ChaseBudget.from_dict`).
 
     The resumed run is byte-identical to an uninterrupted run under the
     final budget in every state-bearing field -- status, relation (fresh
@@ -610,7 +603,7 @@ def resume_chase(
     first, and the strategy re-seeds from the post-tail tableau.  ``rounds``
     is scheduling bookkeeping and may undercount by one on termination (the
     uninterrupted run can end with an extra round listing only
-    already-satisfied triggers) -- the same caveat under which the four
+    already-satisfied triggers) -- the same caveat under which the three
     strategies are mutually byte-identical.  When checkpointing is on for
     the resumed run too, it writes a fresh self-contained log (resumes
     chain).

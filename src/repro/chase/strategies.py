@@ -1,4 +1,4 @@
-"""Pluggable chase scheduling: rescan, incremental, sharded, streaming.
+"""Pluggable chase scheduling: rescan, incremental, sharded.
 
 The engine's round loop is strategy-agnostic: at the top of each round it
 asks its :class:`ChaseStrategy` for the triggers to consider, applies them
@@ -24,13 +24,6 @@ The implementations answer "which triggers?" very differently:
   trigger extension in parallel, merging the per-shard results at the round
   barrier the engine already provides.  The whole round's delta list ships
   to the workers in one message at the barrier.
-* :class:`StreamingStrategy` keeps the sharded partition but changes the
-  *framing* of the worker feed: each applied step's delta streams to every
-  shard the moment the engine reports it, so workers replay the delta and
-  extend partial matches concurrently with the engine applying the tail of
-  the round.  The round barrier then only drains results that are already
-  (mostly) computed -- the last serial section of the sharded round
-  becomes a pipeline.
 
 All strategies feed the same fair round loop and produce identical chase
 results; see ``tests/chase/test_differential.py`` for the property test and
@@ -438,7 +431,7 @@ class _ShardCore:
 
     :class:`IncrementalStrategy` runs exactly one core, over every
     dependency, on the live engine state (``owns_state=False``); each
-    sharded or streaming shard runs one over its own dependency subset.
+    sharded shard runs one over its own dependency subset.
 
     ``owns_state=True`` (process mode): the core holds a private mirror
     :class:`ChaseState` -- a relation copy plus the shard's own
@@ -510,23 +503,17 @@ class _ShardCore:
         if self.kernel is not None:
             self.kernel.apply_delta(delta)
 
-    def extend(
-        self,
-        deltas: Sequence[StepDelta],
-        visited: Optional[Set[Row]] = None,
-        out: Optional[List[Tuple[int, Valuation]]] = None,
-    ) -> List[Tuple[int, Valuation]]:
+    def extend(self, deltas: Sequence[StepDelta]) -> List[Tuple[int, Valuation]]:
         """Extend matches through the changed rows of already-landed deltas.
 
-        A row is extended through once per round (``visited`` carries the
-        rows done so far), and rows rewritten away by a later merge are
-        skipped: every new homomorphism also routes through their
-        post-rewrite images, which are some later delta's rows.  Only the
-        current relation hosts witnesses, so every delta passed here must
-        already have gone through :meth:`advance`.
+        A row is extended through once per round, and rows rewritten away
+        by a later merge are skipped: every new homomorphism also routes
+        through their post-rewrite images, which are some later delta's
+        rows.  Only the current relation hosts witnesses, so every delta
+        passed here must already have gone through :meth:`advance`.
         """
-        visited = set() if visited is None else visited
-        out = [] if out is None else out
+        visited: Set[Row] = set()
+        out: List[Tuple[int, Valuation]] = []
         kernel = self.kernel
         relation = self._state.relation
         index = None if kernel is not None else self._state.row_index.attr_buckets
@@ -618,19 +605,12 @@ def _stop_worker(process, conn) -> None:
 
 
 class _ProcessShard:
-    """Parent-side handle of one worker process (request/reply over a pipe).
-
-    Subclasses swap :attr:`worker_main` (the child entry point) and the
-    request framing; the pipe lifecycle, reply handling, and the weakref
-    reaping safety net are shared.
-    """
-
-    worker_main = staticmethod(_shard_worker_main)
+    """Parent-side handle of one worker process (request/reply over a pipe)."""
 
     def __init__(self, ctx, relation, members, kernel: Optional[str] = None) -> None:
         self._conn, child = ctx.Pipe()
         self._process = ctx.Process(
-            target=type(self).worker_main,
+            target=_shard_worker_main,
             args=(child, relation, members, kernel),
             daemon=True,
         )
@@ -645,7 +625,11 @@ class _ProcessShard:
         """No-op: the worker seeds on startup, before its first reply."""
 
     def request(self, deltas: Sequence[StepDelta]) -> None:
-        self._send(list(deltas))
+        # A dead worker surfaces as a StrategyError, as in collect().
+        try:
+            self._conn.send(list(deltas))
+        except (BrokenPipeError, OSError, ValueError) as exc:
+            raise StrategyError(f"a shard worker process died: {exc!r}") from exc
 
     def collect(self) -> List[Tuple[int, Valuation]]:
         try:
@@ -658,13 +642,6 @@ class _ProcessShard:
 
     def close(self) -> None:
         self._finalizer()
-
-    def _send(self, message) -> None:
-        """Send one message, normalizing a dead worker like ``collect`` does."""
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError, ValueError) as exc:
-            raise StrategyError(f"a shard worker process died: {exc!r}") from exc
 
 
 class _ThreadShard:
@@ -913,318 +890,11 @@ class ShardedStrategy:
             shard.seed_async()
 
 
-# ---------------------------------------------------------------------------
-# Streaming scheduling
-# ---------------------------------------------------------------------------
-
-
-class _StreamCore(_ShardCore):
-    """One streaming shard's state: a sequenced delta feed, applied eagerly.
-
-    Extends :class:`_ShardCore` (whose seeding, mirror/live-state modes,
-    and emission dedup are reused unchanged) with the incremental framing
-    of the worker protocol: deltas arrive one at a time, each tagged with
-    its position in the round's step order, and :meth:`barrier` takes the
-    expected count instead of the sharded protocol's whole delta list.  A
-    reorder buffer replays arrivals strictly in sequence -- transports
-    that preserve ordering pay nothing, transports that do not still
-    converge to the sequential result -- and every replayed delta
-    immediately extends partial matches through its changed rows.
-
-    ``owns_state=True`` (process mode): extension for delta ``i`` runs
-    against the mirror tableau *as of step i* -- concurrently with the
-    engine applying step ``i+1``.  Triggers found this way may be stale by
-    the time the round ends (a later merge can rewrite the rows they
-    route through), which is fine: the engine canonicalizes and
-    re-validates every candidate, and a mid-round discovery canonicalizes
-    to exactly the trigger a barrier-time discovery would have produced.
-    Completeness holds because every end-of-round homomorphism routes
-    through the changed rows of the *last* delta that touched its rows, at
-    which point all its other rows are already in the mirror relation.
-
-    ``owns_state=False`` (thread mode): the core reads the live
-    engine-owned state, whose relation and row index the applied steps
-    already keep in sync, so no replay runs -- the transport then delivers
-    the whole (still sequence-checked) feed at the barrier, when the
-    engine is parked in ``collect`` and the shared state is quiescent.
-    """
-
-    def __init__(
-        self,
-        members: Iterable[Tuple[int, CompiledDependency]],
-        state: ChaseState,
-        owns_state: bool = True,
-        kernel: Optional[str] = None,
-    ) -> None:
-        super().__init__(members, state, owns_state, kernel)
-        self._next_seq = 0
-        self._reorder: Dict[int, StepDelta] = {}
-        self._visited: Set[Row] = set()
-        self._out: List[Tuple[int, Valuation]] = []
-
-    def feed(self, seq: int, delta: StepDelta) -> None:
-        """Accept one step's delta; replay every contiguous prefix eagerly."""
-        if seq < self._next_seq or seq in self._reorder:
-            raise StrategyError(
-                f"duplicate delta #{seq} in the streaming feed "
-                f"(next expected: #{self._next_seq})"
-            )
-        self._reorder[seq] = delta
-        while self._next_seq in self._reorder:
-            self._apply(self._reorder.pop(self._next_seq))
-            self._next_seq += 1
-
-    def barrier(self, expected: int) -> List[Tuple[int, Valuation]]:
-        """Join the round: all ``expected`` deltas must have been replayed."""
-        if self._next_seq != expected or self._reorder:
-            missing = sorted(
-                set(range(expected)) - set(self._reorder) - set(range(self._next_seq))
-            )
-            raise StrategyError(
-                f"streaming feed incomplete at the barrier: expected "
-                f"{expected} deltas, replayed {self._next_seq}, "
-                f"missing {missing}"
-            )
-        self._next_seq = 0
-        self._visited.clear()
-        out, self._out = self._out, []
-        return out
-
-    def _apply(self, delta: StepDelta) -> None:
-        # One delta at a time: the mirrors track the as-of-step-i tableau
-        # the streaming overlap is defined against.  The skip discipline is
-        # the barrier's: a row already extended this round cannot host a
-        # *new* homomorphism without some later delta's rows (which get
-        # their own extension).
-        self.advance(delta)
-        self.extend((delta,), self._visited, self._out)
-
-
-def _stream_worker_main(
-    conn,
-    relation: Relation,
-    members: Tuple[Tuple[int, CompiledDependency], ...],
-    kernel: Optional[str] = None,
-) -> None:
-    """Entry point of one streaming shard worker process.
-
-    Seeds immediately, then consumes the incremental feed: ``("delta",
-    (seq, delta))`` messages are replayed as they arrive (this is where the
-    overlap with the engine's round tail happens), ``("barrier", expected)``
-    answers with the accumulated triggers, ``None`` shuts the worker down.
-    A feed failure is remembered and reported at the next barrier, so the
-    request/reply framing never desynchronizes even when a delta poisons
-    the shard mid-round.
-    """
-    mirror = ChaseState(relation=relation, fresh=None)
-    core = _StreamCore(members, mirror, kernel=kernel)
-    try:
-        try:
-            conn.send(("ok", core.seed()))
-        except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-            conn.send(("error", f"stream seeding failed: {exc!r}"))
-            return
-        failure: Optional[str] = None
-        while True:
-            message = conn.recv()
-            if message is None:
-                return
-            kind, payload = message
-            if kind == "delta":
-                if failure is None:
-                    try:
-                        core.feed(*payload)
-                    except Exception as exc:  # noqa: BLE001 - deferred
-                        failure = f"stream feed failed: {exc!r}"
-            else:  # barrier
-                if failure is not None:
-                    conn.send(("error", failure))
-                    return
-                try:
-                    conn.send(("ok", core.barrier(payload)))
-                except Exception as exc:  # noqa: BLE001 - forwarded
-                    conn.send(("error", f"stream barrier failed: {exc!r}"))
-                    return
-    except (EOFError, OSError, KeyboardInterrupt):
-        return
-    finally:
-        conn.close()
-
-
-class _StreamProcessShard(_ProcessShard):
-    """Parent-side handle of one streaming worker process.
-
-    The pipe lifecycle, reply handling, and reaping safety net come from
-    :class:`_ProcessShard`; only the child entry point and the message
-    framing (tagged per-delta feed + barrier marker) differ.
-    """
-
-    worker_main = staticmethod(_stream_worker_main)
-
-    def feed(self, seq: int, delta: StepDelta) -> None:
-        self._send(("delta", (seq, delta)))
-
-    def request(self, expected: int) -> None:
-        self._send(("barrier", expected))
-
-
-class _StreamThreadShard(_ThreadShard):
-    """Parent-side handle of one thread-mode streaming shard.
-
-    With the GIL there is no parallelism to overlap the feed with, and the
-    live engine state mutates *while* the round runs, so eager replay would
-    either race on the shared row index or pay a redundant per-shard mirror.
-    The thread transport therefore queues the sequenced feed locally and
-    delivers it whole when the barrier is requested: the drain runs on the
-    pool while the engine parks in ``collect`` (the shared state is
-    quiescent), the sequence numbers are still validated, and the cost
-    profile matches the sharded strategy's thread mode.  Real feed overlap
-    is the process transport's job.  Seeding and result collection (with
-    its :class:`StrategyError` normalization) come from :class:`_ThreadShard`.
-    """
-
-    def __init__(self, core: _StreamCore, pool: ThreadPoolExecutor) -> None:
-        super().__init__(core, pool)
-        self._pending: List[Tuple[int, StepDelta]] = []
-
-    def feed(self, seq: int, delta: StepDelta) -> None:
-        self._pending.append((seq, delta))
-
-    def request(self, expected: int) -> None:
-        pending, self._pending = self._pending, []
-        self._future = self._pool.submit(self._drain, pending, expected)
-
-    def _drain(
-        self, pending: Sequence[Tuple[int, StepDelta]], expected: int
-    ) -> List[Tuple[int, Valuation]]:
-        for seq, delta in pending:
-            self._core.feed(seq, delta)
-        return self._core.barrier(expected)
-
-    def close(self) -> None:
-        self._pending = []
-        super().close()
-
-
-class StreamingStrategy(ShardedStrategy):
-    """Sharded scheduling with an incremental per-step delta feed.
-
-    The dependency partition, executor resolution (``"auto"`` /
-    ``"thread"`` / ``"process"``), worker lifecycle, and the engine-side
-    merge point are all inherited from :class:`ShardedStrategy`; what
-    changes is the worker protocol's framing.  The sharded strategy batches
-    a round's deltas and ships them in one message at the barrier, leaving
-    every shard idle while the engine applies the round.  This strategy
-    streams each :class:`~repro.chase.steps.StepDelta` to every shard the
-    moment :meth:`observe` reports it, so shards replay the delta onto
-    their mirror state and extend partial matches through its changed rows
-    *while* the engine is still applying the tail of the round;
-    :meth:`next_round` then only sends the barrier marker and drains
-    results that are already largely computed.
-
-    Deltas are sequence-numbered per round and workers replay them through
-    a reorder buffer, so the protocol tolerates out-of-order arrival and
-    fails loudly (at the barrier) on a lost or duplicated message instead
-    of silently diverging.  Results remain byte-identical to every other
-    strategy: mid-round discoveries canonicalize to exactly the triggers a
-    barrier-time discovery would produce, and the engine's round-boundary
-    canonicalize/dedupe/sort erases the difference in discovery time.
-
-    The overlap needs real parallelism, so it is the *process* transport's
-    behaviour; the thread transport (the small-tableau / single-CPU
-    fallback) queues the sequenced feed locally and drains it when the
-    barrier is requested, sharing the live state exactly like the sharded
-    strategy's thread mode -- same answers, same cost profile, no mirror
-    replay taxed onto a GIL-serialized pipeline.
-    """
-
-    name = "streaming"
-
-    def __init__(
-        self,
-        shard_count: int = DEFAULT_SHARD_COUNT,
-        executor: str = "auto",
-        process_threshold: int = PROCESS_POOL_THRESHOLD,
-        kernel: Optional[str] = None,
-    ) -> None:
-        super().__init__(
-            shard_count=shard_count,
-            executor=executor,
-            process_threshold=process_threshold,
-            kernel=kernel,
-        )
-        self._streamed = 0
-
-    def start(
-        self, state: ChaseState, compiled: Sequence[CompiledDependency]
-    ) -> None:
-        self._streamed = 0
-        super().start(state, compiled)
-
-    def observe(self, delta: StepDelta) -> None:
-        if delta.is_noop:
-            return
-        seq = self._streamed
-        self._streamed += 1
-        for shard in self._shards:
-            shard.feed(seq, delta)
-
-    def next_round(self) -> List[Trigger]:
-        if self._queue is not None:
-            batch, self._queue = self._queue, None
-            return batch
-        expected, self._streamed = self._streamed, 0
-        if not expected or not self._shards:
-            return []
-        for shard in self._shards:
-            shard.request(expected)
-        triggers: List[Trigger] = []
-        for shard in self._shards:
-            triggers.extend(_to_triggers(self._compiled, shard.collect()))
-        return triggers
-
-    # -- internals -------------------------------------------------------------
-
-    def _spawn_process_shards(
-        self, state: ChaseState, parts: Sequence[Tuple[int, ...]]
-    ) -> None:
-        ctx = _mp_context()
-        for members in parts:
-            self._shards.append(
-                _StreamProcessShard(
-                    ctx,
-                    state.relation,
-                    tuple((p, self._compiled[p]) for p in members),
-                    kernel=self._kernel_backend,
-                )
-            )
-
-    def _spawn_thread_shards(
-        self, state: ChaseState, parts: Sequence[Tuple[int, ...]]
-    ) -> None:
-        if self._kernel_backend is None:
-            state.row_index  # materialise once, before worker threads share it
-        self._pool = ThreadPoolExecutor(
-            max_workers=len(parts), thread_name_prefix="chase-stream"
-        )
-        for members in parts:
-            core = _StreamCore(
-                tuple((p, self._compiled[p]) for p in members),
-                state,
-                owns_state=False,
-                kernel=self._kernel_backend,
-            )
-            self._shards.append(_StreamThreadShard(core, self._pool))
-        for shard in self._shards:
-            shard.seed_async()
-
-
 #: The concrete strategies by configuration name (``"auto"`` -> incremental).
 STRATEGY_REGISTRY = {
     "rescan": RescanStrategy,
     "incremental": IncrementalStrategy,
     "sharded": ShardedStrategy,
-    "streaming": StreamingStrategy,
     "auto": IncrementalStrategy,
 }
 
@@ -1238,9 +908,9 @@ def make_strategy(
     """Resolve a strategy name (or pass through a ready-made instance).
 
     ``None`` and ``"auto"`` resolve to :class:`IncrementalStrategy`.
-    ``shard_count`` configures the ``"sharded"`` / ``"streaming"``
-    strategies' worker count and ``kernel`` the columnar trigger-matching
-    kernel of every delta-driven strategy (the engine forwards
+    ``shard_count`` configures the ``"sharded"`` strategy's worker count
+    and ``kernel`` the columnar trigger-matching kernel of every
+    delta-driven strategy (the engine forwards
     ``ChaseBudget.shard_count`` / ``ChaseBudget.chase_kernel`` here);
     either is ignored by strategies it does not apply to.  A strategy
     *instance* is returned as-is -- :meth:`ChaseStrategy.start` resets all
@@ -1255,7 +925,7 @@ def make_strategy(
                 f"unknown chase strategy {choice!r}; "
                 f"expected one of {', '.join(sorted(STRATEGY_REGISTRY))}"
             )
-        if factory in (ShardedStrategy, StreamingStrategy):
+        if factory is ShardedStrategy:
             return factory(
                 shard_count=(
                     DEFAULT_SHARD_COUNT if shard_count is None else shard_count

@@ -36,14 +36,18 @@ class ConfigError(ReproError):
 
 
 #: The recognised chase scheduling strategies (see :mod:`repro.chase.strategies`).
-CHASE_STRATEGIES = ("rescan", "incremental", "sharded", "streaming", "auto")
+CHASE_STRATEGIES = ("rescan", "incremental", "sharded", "auto")
 
-#: Default worker count of the sharded and streaming strategies -- the single
-#: source shared by :class:`ChaseBudget`, its ``from_dict`` fallback, and
-#: ``make_strategy``.
+#: Retired strategy names and the strategy :meth:`ChaseBudget.from_dict` loads
+#: in their place.  Every strategy produces byte-identical chase results, so
+#: old checkpoint logs and config payloads resume and solve unchanged.
+_RETIRED_STRATEGIES = {"streaming": "incremental"}
+
+#: Default worker count of the sharded strategy -- the single source shared
+#: by :class:`ChaseBudget`, its ``from_dict`` fallback, and ``make_strategy``.
 DEFAULT_SHARD_COUNT = 2
 
-ChaseStrategyName = Literal["rescan", "incremental", "sharded", "streaming", "auto"]
+ChaseStrategyName = Literal["rescan", "incremental", "sharded", "auto"]
 
 #: The recognised columnar-kernel modes (see :mod:`repro.chase.kernel`).
 #: Configuration restricts itself to the policy choices; the concrete
@@ -178,16 +182,14 @@ class ChaseBudget:
         (re-enumerate every trigger each round; the reference oracle),
         ``"incremental"`` (delta-driven trigger index), ``"sharded"``
         (the incremental worklist partitioned across ``shard_count``
-        workers, merged at each round barrier), ``"streaming"`` (the
-        sharded worklist fed delta-by-delta as the round applies, so
-        workers extend matches concurrently with the tail of the round),
-        or ``"auto"`` (currently ``"incremental"``).  All strategies
-        produce the same chase result; pin ``"rescan"`` when debugging
-        the trigger index.
+        workers, merged at each round barrier), or ``"auto"`` (currently
+        ``"incremental"``).  All strategies produce the same chase
+        result; pin ``"rescan"`` when debugging the trigger index.  A
+        retired strategy name is rejected here, and :meth:`from_dict`
+        loads it as its replacement.
     shard_count:
-        How many workers the ``"sharded"`` and ``"streaming"`` strategies
-        partition the trigger worklist across.  Ignored by the other
-        strategies.
+        How many workers the ``"sharded"`` strategy partitions the
+        trigger worklist across.  Ignored by the other strategies.
     chase_kernel:
         Whether trigger matching runs on the columnar kernel
         (:mod:`repro.chase.kernel`): ``"auto"`` (the pure-Python bitset
@@ -283,11 +285,18 @@ class ChaseBudget:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ChaseBudget":
-        """Rebuild a budget from :meth:`to_dict` output (missing keys default)."""
+        """Rebuild a budget from :meth:`to_dict` output (missing keys default).
+
+        A retired strategy name loads as its replacement, so payloads that
+        older releases wrote with ``"streaming"`` -- checkpoint-log
+        headers, ``SolverConfig`` and ``ServiceConfig`` documents -- load
+        as ``"incremental"``.
+        """
+        strategy = payload.get("chase_strategy", "auto")
         return cls(
             max_steps=payload.get("max_steps", 2000),
             max_rows=payload.get("max_rows", 5000),
-            chase_strategy=payload.get("chase_strategy", "auto"),
+            chase_strategy=_RETIRED_STRATEGIES.get(strategy, strategy),
             shard_count=payload.get("shard_count", DEFAULT_SHARD_COUNT),
             chase_kernel=payload.get("chase_kernel", "auto"),
             checkpoint=CheckpointConfig.from_dict(payload.get("checkpoint", {})),
@@ -506,11 +515,13 @@ class SolverConfig:
     ) -> "SolverConfig":
         """A copy pinning the chase scheduling strategy.
 
-        ``shard_count`` (only meaningful with ``"sharded"`` and
-        ``"streaming"``) sets how many workers the strategy partitions the
-        trigger worklist across; ``kernel`` pins the columnar
-        trigger-matching kernel (``"auto"`` / ``"on"`` / ``"off"``).
-        ``None`` keeps the budget's current value for either.
+        ``shard_count`` (only meaningful with ``"sharded"``) sets how many
+        workers the strategy partitions the trigger worklist across;
+        ``kernel`` pins the columnar trigger-matching kernel (``"auto"`` /
+        ``"on"`` / ``"off"``).  ``None`` keeps the budget's current value
+        for either.  An unknown strategy name raises :class:`ConfigError`,
+        and so does a retired one: only :meth:`ChaseBudget.from_dict`
+        upgrades those, for payloads written by older releases.
         """
         _check_strategy(strategy)
         overrides: dict = {"chase_strategy": strategy}

@@ -45,6 +45,36 @@ class TestBudgetObjects:
         assert SolverConfig().chase == ChaseBudget()
 
 
+class TestRetiredStreamingStrategy:
+    """``"streaming"`` is retired: old payloads load as incremental, and
+    naming it in code is an unknown strategy."""
+
+    def test_payloads_naming_streaming_load_as_incremental(self):
+        from repro.config import ServiceConfig
+
+        budget = ChaseBudget.from_dict(
+            {**ChaseBudget().to_dict(), "chase_strategy": "streaming"}
+        )
+        assert budget == ChaseBudget(chase_strategy="incremental")
+        payload = ServiceConfig(port=0).to_dict()
+        payload["solver"]["chase"]["chase_strategy"] = "streaming"
+        config = ServiceConfig.from_dict(payload)
+        assert config.solver.chase_strategy == "incremental"
+        assert config == ServiceConfig(
+            port=0, solver=SolverConfig().with_strategy("incremental")
+        )
+
+    def test_naming_streaming_in_code_raises(self):
+        from repro.chase import StrategyError, make_strategy
+
+        with pytest.raises(ConfigError, match="unknown chase strategy"):
+            ChaseBudget(chase_strategy="streaming")
+        with pytest.raises(ConfigError, match="unknown chase strategy"):
+            SolverConfig().with_strategy("streaming")
+        with pytest.raises(StrategyError, match="unknown chase strategy"):
+            make_strategy("streaming")
+
+
 class TestChaseEngineBudgets:
     def test_budget_object(self):
         td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)

@@ -7,7 +7,7 @@ case of which applies at least one step), cut each run at several step
 budgets, resume from the durable log, and require the resumed result to
 match the uninterrupted run in every state-bearing field -- status,
 relation (fresh names included), canon, steps, trace, kernel -- under all
-four strategies.  ``rounds`` is scheduling bookkeeping excluded here for the
+three strategies.  ``rounds`` is scheduling bookkeeping excluded here for the
 same reason the cross-strategy differential suite excludes it.
 
 The loud-failure half: truncated, corrupted, wrong-schema and completed
@@ -53,8 +53,8 @@ from repro.util.errors import ChaseBudgetExceeded, ReproError
 
 AB = Universe.from_names("AB")
 
-#: strategy x seed pairs: 280 genuine kill-and-resume mixes.
-STRATEGIES = ("rescan", "incremental", "sharded", "streaming")
+#: strategy x seed pairs: 210 genuine kill-and-resume mixes.
+STRATEGIES = ("rescan", "incremental", "sharded")
 SEEDS = range(70)
 
 
@@ -81,7 +81,7 @@ def _assert_resumed_matches(resumed, straight, label):
 
 
 def _strategy_budget(budget: ChaseBudget, strategy: str) -> ChaseBudget:
-    if strategy in ("sharded", "streaming"):
+    if strategy == "sharded":
         return replace(budget, chase_strategy=strategy, shard_count=2)
     return replace(budget, chase_strategy=strategy)
 
@@ -427,6 +427,9 @@ class TestMigration:
 FIXTURE = os.path.join(
     os.path.dirname(__file__), os.pardir, "fixtures", "checkpoint_v1.jsonl"
 )
+STREAMING_FIXTURE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "fixtures", "checkpoint_streaming.jsonl"
+)
 
 
 class TestCommittedFixture:
@@ -436,6 +439,8 @@ class TestCommittedFixture:
     chain log committed at schema 1.  If a schema bump breaks this test,
     either register a migration from version 1 or regenerate the fixture
     alongside one -- never silently drop loadability of sealed logs.
+    ``checkpoint_streaming.jsonl`` is the same chain log, written by a
+    release that still had the streaming strategy, and its header says so.
     """
 
     def test_fixture_loads_and_reports_its_state(self):
@@ -451,3 +456,19 @@ class TestCommittedFixture:
         point = load_checkpoint(FIXTURE)
         resumed = resume_chase(point, budget=ChaseBudget(max_steps=6))
         _assert_resumed_matches(resumed, straight, "committed v1 fixture")
+
+    def test_retired_streaming_log_resumes_as_incremental(self, tmp_path):
+        """The header's ``"streaming"`` budget loads as ``"incremental"``,
+        and raising it resumes into exactly the straight 6-step run."""
+        instance, deps = _chain_case()
+        straight = chase(instance, deps, budget=ChaseBudget(max_steps=6), trace=True)
+        point = load_checkpoint(STREAMING_FIXTURE)
+        assert point.budget.chase_strategy == "incremental"
+        raised = replace(
+            point.budget,
+            max_steps=6,
+            checkpoint=replace(point.budget.checkpoint, directory=str(tmp_path)),
+        )
+        resumed = resume_chase(point, budget=raised)
+        assert resumed.strategy == "incremental"
+        _assert_resumed_matches(resumed, straight, "committed streaming log")

@@ -1,17 +1,15 @@
-"""Differential tests: rescan vs incremental vs sharded vs streaming.
+"""Differential tests: rescan vs incremental vs sharded.
 
-The incremental trigger index, the sharded worklist partition, and the
-streaming per-step delta feed are only trustworthy if they are
-*indistinguishable* from the reference rescan scheduler.  These tests chase
-hundreds of randomized instances -- td/egd mixes, existential tds, untyped
-runaways, tight budgets -- under all four strategies (sharded at every
-shard_count in ``SHARD_COUNTS``, streaming at ``STREAM_SHARD_COUNT``) and
-require identical results: same final relation (fresh-value names
-included), same status, same canon map, same step count.  The engine makes
-this exact equality achievable by canonicalizing and deterministically
-ordering each round's triggers for *every* strategy; any divergence here
-means a worklist dropped or invented a trigger, a shard merge lost a
-delta, or the streaming feed replayed one out of sequence.
+The incremental trigger index and the sharded worklist partition are only
+trustworthy if they are *indistinguishable* from the reference rescan
+scheduler.  These tests chase hundreds of randomized instances -- td/egd
+mixes, existential tds, untyped runaways, tight budgets -- under all three
+strategies (sharded at every shard_count in ``SHARD_COUNTS``) and require
+identical results: same final relation (fresh-value names included), same
+status, same canon map, same step count.  The engine makes this exact
+equality achievable by canonicalizing and deterministically ordering each
+round's triggers for *every* strategy; any divergence here means a
+worklist dropped or invented a trigger, or a shard merge lost a delta.
 
 Each randomized family also asserts the share of its cases that applied at
 least one step, so a generator drifting into already-satisfied instances
@@ -24,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 from repro.chase import chase
-from repro.chase.strategies import ShardedStrategy, StreamingStrategy
+from repro.chase.strategies import ShardedStrategy
 from repro.config import ChaseBudget
 from repro.dependencies import (
     EqualityGeneratingDependency,
@@ -45,9 +43,6 @@ N_CASES = 225
 #: Worker counts every differential case is additionally chased with.
 SHARD_COUNTS = (1, 2, 4)
 
-#: Worker count of the streaming run every differential case also gets
-#: (single-shard and process-executor streaming live in test_streaming.py).
-STREAM_SHARD_COUNT = 2
 
 def _assert_equivalent(instance, deps, budget, label, shard_counts=SHARD_COUNTS):
     rescan = chase(instance, deps, budget=budget, strategy="rescan")
@@ -70,19 +65,6 @@ def _assert_equivalent(instance, deps, budget, label, shard_counts=SHARD_COUNTS)
         assert sharded.relation == rescan.relation, sharded_label
         assert dict(sharded.canon) == dict(rescan.canon), sharded_label
         assert sharded.steps == rescan.steps, sharded_label
-    streaming = chase(
-        instance,
-        deps,
-        budget=replace(
-            budget, chase_strategy="streaming", shard_count=STREAM_SHARD_COUNT
-        ),
-    )
-    streaming_label = f"{label} [streaming]"
-    assert streaming.strategy == "streaming", streaming_label
-    assert streaming.status == rescan.status, streaming_label
-    assert streaming.relation == rescan.relation, streaming_label
-    assert dict(streaming.canon) == dict(rescan.canon), streaming_label
-    assert streaming.steps == rescan.steps, streaming_label
     return rescan
 
 
@@ -220,16 +202,15 @@ def test_mvd_chain_is_equivalent():
     _assert_equivalent(instance, mvd_tds, ChaseBudget(), "mvd chain")
 
 
-@pytest.mark.parametrize("factory", [ShardedStrategy, StreamingStrategy])
+@pytest.mark.parametrize("factory", [ShardedStrategy])
 @pytest.mark.parametrize("seed", range(8))
 def test_process_executor_is_equivalent(seed, factory):
-    """The process-pool executors are byte-identical to rescan too.
+    """The process-pool executor is byte-identical to rescan too.
 
-    The bulk of the suite exercises the threaded executors (worker spawn
-    per case would dominate the runtime); these cases pin
-    ``executor="process"`` so the delta-replay reconciliation of the
-    per-shard mirror states -- batched for sharded, incrementally fed for
-    streaming -- is differentially validated through real worker processes.
+    The bulk of the suite exercises the threaded executor (worker spawn per
+    case would dominate the runtime); these cases pin ``executor="process"``
+    so the round-barrier delta replay into the per-shard mirror states is
+    differentially validated through real worker processes.
     """
     instance, deps, budget = _cascade_case(seed)
     rescan = chase(instance, deps, budget=budget, strategy="rescan")

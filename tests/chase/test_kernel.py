@@ -49,7 +49,6 @@ from repro.chase.strategies import (
     IncrementalStrategy,
     RescanStrategy,
     ShardedStrategy,
-    StreamingStrategy,
     make_strategy,
 )
 from repro.chase.strategies import extend_through as classic_extend_through
@@ -195,15 +194,14 @@ def test_kernel_sharded_and_streaming_identical(seed, random_case):
     """Thread-mode shard cores with private kernels match the classic path."""
     instance, deps, budget = random_case(seed)
     off = chase(instance, deps, budget=replace(budget, chase_kernel="off"))
-    for factory in (ShardedStrategy, StreamingStrategy):
-        strategy = factory(shard_count=2, executor="thread", kernel="on")
-        result = chase(instance, deps, budget=budget, strategy=strategy)
-        assert strategy.kernel in ("numpy", "bitset")
-        assert result.kernel == strategy.kernel
-        _assert_same_result(result, off, f"seed {seed} {factory.__name__}")
+    strategy = ShardedStrategy(shard_count=2, executor="thread", kernel="on")
+    result = chase(instance, deps, budget=budget, strategy=strategy)
+    assert strategy.kernel in ("numpy", "bitset")
+    assert result.kernel == strategy.kernel
+    _assert_same_result(result, off, f"seed {seed} sharded")
 
 
-@pytest.mark.parametrize("factory", [ShardedStrategy, StreamingStrategy])
+@pytest.mark.parametrize("factory", [ShardedStrategy])
 def test_kernel_process_executor_identical(factory, random_case):
     """Worker processes rebuild their kernels from the shipped backend name."""
     instance, deps, budget = random_case(6001)

@@ -4,7 +4,8 @@ Byte-identity of whole sharded runs against the rescan/incremental oracles
 lives in ``tests/chase/test_differential.py``; this module covers the
 pieces: the deterministic dependency partitioner and its value-graph
 component refinement, the round-barrier delta replay, the thread/process
-executors (including the fallback), worker lifecycle, and the
+executors (including the fallback), worker lifecycle and teardown when a
+dependency poisons a worker or an interrupt lands mid-round, and the
 ``shard_count`` plumbing through budgets, configs, engines, and solvers.
 """
 
@@ -288,6 +289,108 @@ class TestShardedRounds:
             chain_instance(5), [untyped_fd_egd()], budget=ChaseBudget()
         )
         assert result.relation == reference.relation
+
+
+class TestExecutorShutdown:
+    """The executor-teardown regression suite: a shard worker raising
+    mid-round (or an interrupt in the parent) must never leak worker
+    processes or thread pools -- the engine's ``finally`` closes the
+    strategy on every exit path."""
+
+    @staticmethod
+    def _poison(monkeypatch):
+        """Make trigger extension explode for the dependency named 'poison'.
+
+        Both matchers are poisoned -- the classic ``extend_through`` and the
+        columnar kernel's method -- so the teardown property holds however
+        the strategy's kernel mode resolves in this environment.
+        """
+        import repro.chase.kernel as kernel_module
+        import repro.chase.strategies as strategies_module
+
+        real = strategies_module.extend_through
+
+        def exploding(cd, row, relation, index, emit):
+            if getattr(cd.dependency, "name", None) == "poison":
+                raise RuntimeError("injected dependency failure")
+            return real(cd, row, relation, index, emit)
+
+        real_kernel = kernel_module.TriggerKernel.extend_through
+
+        def exploding_kernel(self, cd, row, emit):
+            if getattr(cd.dependency, "name", None) == "poison":
+                raise RuntimeError("injected dependency failure")
+            return real_kernel(self, cd, row, emit)
+
+        monkeypatch.setattr(strategies_module, "extend_through", exploding)
+        monkeypatch.setattr(
+            kernel_module.TriggerKernel, "extend_through", exploding_kernel
+        )
+
+    def _assert_no_leaked_children(self):
+        for child in multiprocessing.active_children():
+            child.join(timeout=5)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_failing_dependency_reaps_executors(self, monkeypatch, executor):
+        self._poison(monkeypatch)
+        # Structurally distinct from successor_td(): content-equal tds would
+        # collapse in the compile cache and the poison name would vanish.
+        body = Relation.untyped(AB, [["px", "py"]])
+        poison = TemplateDependency(
+            Row.untyped_over(AB, ["py", "pz"]), body, name="poison"
+        )
+        strategy = ShardedStrategy(shard_count=2, executor=executor)
+        engine = ChaseEngine(
+            [successor_td(), poison],
+            budget=ChaseBudget(max_steps=12),
+            strategy=strategy,
+        )
+        with pytest.raises(StrategyError, match="injected dependency failure"):
+            engine.run(chain_instance(4, primed=False))
+        assert strategy._shards == []
+        assert strategy._pool is None
+        self._assert_no_leaked_children()
+        # The strategy stays usable: start() respawns a healthy pool.
+        healthy = ChaseEngine(
+            [successor_td()], budget=ChaseBudget(max_steps=4), strategy=strategy
+        )
+        monkeypatch.undo()
+        result = healthy.run(chain_instance(3, primed=False))
+        assert result.steps == 4
+        self._assert_no_leaked_children()
+
+    def test_keyboard_interrupt_mid_round_reaps_worker_processes(
+        self, monkeypatch
+    ):
+        import repro.chase.strategies as strategies_module
+
+        real_collect = strategies_module._ProcessShard.collect
+        replies = []
+
+        def interrupt_after_seeding(self):
+            # Both shards answer their seed; the first barrier reply of
+            # round two is interrupted while every worker holds a request.
+            replies.append(self)
+            if len(replies) > 2:
+                raise KeyboardInterrupt
+            return real_collect(self)
+
+        monkeypatch.setattr(
+            strategies_module._ProcessShard, "collect", interrupt_after_seeding
+        )
+        strategy = ShardedStrategy(shard_count=2, executor="process")
+        engine = ChaseEngine(
+            [successor_td(), untyped_fd_egd()],
+            budget=ChaseBudget(max_steps=8),
+            strategy=strategy,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            engine.run(chain_instance(6))
+        assert len(replies) == 3
+        assert strategy._shards == []
+        self._assert_no_leaked_children()
 
 
 class TestShardedConfigPlumbing:
