@@ -1,6 +1,7 @@
-"""E16 -- chase substrate: rescan vs. incremental vs. sharded.
+"""E16 -- chase substrate: rescan vs. incremental, classic vs. kernel.
 
-Four workloads compare the chase's scheduling strategies head-to-head:
+These workloads compare the chase's scheduling strategies and matchers
+head-to-head:
 
 * **successor-chain** -- the paper's non-terminating untyped successor td
   (every B-value must appear in column A of some row) chased on a growing
@@ -25,26 +26,21 @@ Four workloads compare the chase's scheduling strategies head-to-head:
   recently-added row and the delta discipline can only tie rescan -- it is
   kept as the honest worst case and as the regression guard that the index
   bookkeeping never makes the chase *slower*.
-* **sharded-wide** -- many parallel 3-column chains chased with *six*
-  dependencies at once (four untyped rotation tds plus the fds ``A -> B``
-  and ``A -> C`` in egd form), so every round carries extension work for
-  every dependency and the egd merges rewrite rows that every shard's tds
-  then extend through.  This is the workload the sharded strategy
-  partitions: per-dependency trigger discovery fans out across workers and
-  the per-shard results merge at the round barrier.  Each row also times
-  the default path, incremental on the bitset kernel, so the sharded
-  columns read against what an unconfigured solve actually runs.
 * **checkpoint-overhead** -- the successor chain again, incremental, with
   and without the durable delta log (``CheckpointConfig(mode="on")``).
   The gated column: the log's buffered step appends and per-round flushes
   must cost <= 10% wall time, so checkpointing can stay on for the long
   budget-bound runs it exists for.
-* **kernel-wide** -- the same wide mix at 256 and 512 starting rows, chased
-  single-threaded, comparing the classic dict-probing matcher against the
-  columnar trigger kernel's two backends.  The numpy backend must beat the
-  classic matcher by >= 2x on the 512-row size (CI gate, skipped when the
-  ``[fast]`` extra is absent); the dependency-free bitset backend must stay
-  at >= 0.9x parity, so turning the kernel on without numpy never costs.
+* **kernel-wide** -- many parallel 3-column chains chased with *six*
+  dependencies at once (four untyped rotation tds plus the fds ``A -> B``
+  and ``A -> C`` in egd form), so every round carries extension work for
+  every dependency and the egd merges rewrite rows the tds then extend
+  through.  At 256 and 512 starting rows it compares the classic
+  dict-probing matcher against the columnar trigger kernel's two backends.
+  The numpy backend must beat the classic matcher by >= 2x on the 512-row
+  size (CI gate, skipped when the ``[fast]`` extra is absent); the
+  dependency-free bitset backend must stay at >= 0.9x parity, so turning
+  the kernel on without numpy never costs.
 * **budget-bound-chain** -- the successor chain under a step budget, with
   the same three matchers.  Every step re-validates a non-total td: the
   classic matcher scans the tableau for a witness row, the kernel answers
@@ -63,7 +59,6 @@ cross-PR tracking::
 """
 
 import json
-import os
 import shutil
 import statistics
 import string
@@ -73,7 +68,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.chase import chase
-from repro.chase.strategies import IncrementalStrategy, ShardedStrategy
+from repro.chase.strategies import IncrementalStrategy
 from repro.config import ChaseBudget, CheckpointConfig
 from repro.dependencies import (
     EqualityGeneratingDependency,
@@ -103,8 +98,6 @@ REPEATS = 3
 SUCCESSOR_SIZES = [(16, 16), (32, 32), (64, 64), (96, 96)]
 MVD_SIZES = [4, 6, 8]
 CASCADE_SIZES = [32, 64, 96, 128]
-#: (parallel chains, chain length) pairs for the wide multi-dependency mix.
-SHARDED_SIZES = [(4, 8), (6, 10), (8, 12)]
 #: (parallel chains, chain length) pairs for the kernel comparison; the last
 #: (64 chains x 8 links = 512 starting rows) is the gated headline size.
 KERNEL_WIDE_SIZES = [(32, 8), (64, 8)]
@@ -118,15 +111,6 @@ CHECKPOINT_GATE_SIZE = (192, 192)
 #: end-to-end benchmark's cold workload (the default 2,000-step budget).
 BUDGET_BOUND_SIZES = [CHECKPOINT_GATE_SIZE, (96, 2000)]
 SMOKE_CASCADE = 64
-SMOKE_SHARDED = (8, 12)
-
-#: Shard counts the wide workload is measured at.
-SHARD_COUNTS = (2, 4)
-
-#: Auto-executor cut-over used for the wide workload: its bigger sizes cross
-#: this row count, so multi-CPU machines exercise the process pool while
-#: single-CPU ones keep the threaded fallback.
-SHARDED_PROCESS_THRESHOLD = 64
 
 
 def successor_chain_workload(length: int):
@@ -179,7 +163,7 @@ def mvd_chain_workload(k: int):
     return instance, tds
 
 
-def sharded_wide_workload(chains: int, length: int):
+def wide_workload(chains: int, length: int):
     """Wide multi-dependency mix: parallel chains, six dependencies at once.
 
     The instance holds ``chains`` disjoint 3-column chains
@@ -187,9 +171,8 @@ def sharded_wide_workload(chains: int, length: int):
     adding rows through every chain simultaneously (wide rounds: every round
     extends matches for every dependency through many changed rows), while
     the fds ``A -> B`` and ``A -> C`` in egd form merge the values those
-    freshly added rows agree on -- so shard-partitioned tds constantly
-    extend through rows the egd shard just rewrote, exercising the
-    round-barrier merge on overlapping values.
+    freshly added rows agree on -- so the tds constantly extend through
+    rows the egds just rewrote.
     """
     deps = []
     rotations = [
@@ -224,7 +207,7 @@ def run_strategy(instance, dependencies, strategy, max_steps=200000, repeats=REP
     """Chase under one strategy; the median wall time of ``repeats`` runs.
 
     One untimed warmup run precedes the measurements, so code-path priming
-    (imports, compile caches, worker pools) never lands in a median and the
+    (imports, compile caches) never lands in a median and the
     CI gates stay robust against one-off scheduler noise.
 
     The budget pins ``chase_kernel="off"`` so string-named strategies measure
@@ -282,56 +265,6 @@ def compare(instance, dependencies, max_steps=200000, repeats=REPEATS, bitset=Fa
         _assert_same_result(result, rescan)
         entry["bitset_s"] = round(bitset_time, 6)
         entry["bitset_vs_incremental"] = round(incremental_time / bitset_time, 2)
-    return entry
-
-
-def compare_sharded(
-    instance,
-    dependencies,
-    max_steps=200000,
-    shard_counts=SHARD_COUNTS,
-    repeats=REPEATS,
-):
-    """Run incremental, the default path and sharded; assert identity, time all.
-
-    ``incremental_s`` and the sharded runs pin the classic matcher (see
-    :func:`run_strategy`); ``default_s`` is the default path, incremental
-    on the bitset kernel, the same strategy ``compare(bitset=True)`` times.
-    ``shardedN_vs_incremental`` is the incremental/sharded median-time ratio
-    and ``shardedN_vs_default`` the default/sharded one (> 1 means the shard
-    fan-out wins).  The resolved executor is recorded per shard count:
-    multi-CPU machines cross ``SHARDED_PROCESS_THRESHOLD`` into the process
-    pool on the bigger sizes, single-CPU machines keep the threaded
-    fallback.
-    """
-    incremental, incremental_time = run_strategy(
-        instance, dependencies, "incremental", max_steps, repeats
-    )
-    default, default_time = run_strategy(
-        instance, dependencies, IncrementalStrategy(kernel="bitset"), max_steps, repeats
-    )
-    _assert_same_result(default, incremental)
-    entry = {
-        "final_rows": len(incremental.relation),
-        "steps": incremental.steps,
-        "status": incremental.status.value,
-        "incremental_s": round(incremental_time, 6),
-        "default_s": round(default_time, 6),
-    }
-    for count in shard_counts:
-        strategy = ShardedStrategy(
-            shard_count=count,
-            process_threshold=SHARDED_PROCESS_THRESHOLD,
-            kernel="off",
-        )
-        result, elapsed = run_strategy(
-            instance, dependencies, strategy, max_steps, repeats
-        )
-        _assert_same_result(result, incremental)
-        entry[f"sharded{count}_s"] = round(elapsed, 6)
-        entry[f"sharded{count}_executor"] = strategy.executor
-        entry[f"sharded{count}_vs_incremental"] = round(incremental_time / elapsed, 2)
-        entry[f"sharded{count}_vs_default"] = round(default_time / elapsed, 2)
     return entry
 
 
@@ -414,7 +347,7 @@ def compare_kernel(chains, length, max_steps=120, repeats=REPEATS):
     """Classic matcher vs the kernel's backends on the wide workload."""
     key = ("kernel_wide", chains, length, max_steps)
     if key not in _KERNEL_REPORTS:
-        instance, deps = sharded_wide_workload(chains, length)
+        instance, deps = wide_workload(chains, length)
         _KERNEL_REPORTS[key] = kernel_report(instance, deps, max_steps, repeats)
     return _KERNEL_REPORTS[key]
 
@@ -467,7 +400,7 @@ def test_strategies_agree_on_all_workloads():
     compare(*successor_chain_workload(12), max_steps=12, repeats=1)
     compare(*merge_cascade_workload(12), repeats=1)
     compare(*mvd_chain_workload(4), repeats=1)
-    compare_sharded(*sharded_wide_workload(3, 6), max_steps=40, repeats=1)
+    compare(*wide_workload(3, 6), max_steps=40, repeats=1)
 
 
 def test_incremental_beats_rescan_on_chain_smoke():
@@ -530,36 +463,6 @@ def test_mvd_chain_never_pathologically_slower():
     report = compare(*mvd_chain_workload(6))
     assert report["speedup"] >= 0.5, (
         f"incremental collapsed to {report['speedup']}x on the dense mvd chain"
-    )
-
-
-def test_sharded_holds_up_on_wide_workload():
-    """The sharded regression gate (CI): no collapse below incremental.
-
-    Byte-identity is asserted inside ``compare_sharded``; this gate guards
-    the *cost* of the shard fan-out on the workload built for it.  A lost
-    delta, a smuggled full rescan, or duplicated shard work all blow the
-    median ratio well past these floors.  The bar is CPU-aware: with one
-    CPU the parallel enumeration cannot win (the threaded fallback merely
-    must stay close to sequential), with several the shard pool has to pull
-    its weight.
-    """
-    chains, length = SMOKE_SHARDED
-    instance, deps = sharded_wide_workload(chains, length)
-    report = compare_sharded(instance, deps, max_steps=220)
-    ratios = [report[f"sharded{count}_vs_incremental"] for count in SHARD_COUNTS]
-    # A pinned-thread candidate keeps the gate robust on loaded shared
-    # runners, where worker-process spawn + pipe traffic can briefly dominate
-    # this smoke-sized workload: the thread executor has no such overhead, so
-    # a genuine scheduling regression is the only way every candidate sinks.
-    threaded = ShardedStrategy(shard_count=2, executor="thread", kernel="off")
-    _, threaded_time = run_strategy(instance, deps, threaded, max_steps=220)
-    ratios.append(round(report["incremental_s"] / threaded_time, 2))
-    floor = 0.70 if (os.cpu_count() or 1) > 1 else 0.45
-    best = max(ratios)
-    assert best >= floor, (
-        f"sharded regressed to {best}x of incremental on the wide workload "
-        f"(floor {floor}, ratios {ratios}, report {report})"
     )
 
 
@@ -684,22 +587,6 @@ def full_matrix():
             "sizes": mvd_rows,
         }
     )
-    sharded_rows = []
-    for chains, length in SHARDED_SIZES:
-        instance, deps = sharded_wide_workload(chains, length)
-        sharded_rows.append(
-            {
-                "size": f"{chains}x{length}",
-                **compare_sharded(instance, deps, max_steps=220),
-            }
-        )
-    results["workloads"].append(
-        {
-            "name": "sharded_wide",
-            "grows": "parallel chains x length (6 dependencies per round)",
-            "sizes": sharded_rows,
-        }
-    )
     checkpoint_rows = []
     for length, steps in SUCCESSOR_SIZES + [CHECKPOINT_GATE_SIZE]:
         checkpoint_rows.append(
@@ -749,25 +636,6 @@ def main() -> None:
     results = full_matrix()
     for workload in results["workloads"]:
         print(f"\n{workload['name']} (growing {workload['grows']})")
-        if workload["name"] == "sharded_wide":
-            print(
-                f"{'size':>6} {'rows':>6} {'steps':>6} "
-                f"{'incremental':>12} {'default':>10} {'sharded2':>10} "
-                f"{'sharded4':>10} {'shard-vs-default':>16}"
-            )
-            for row in workload["sizes"]:
-                best_shard = max(
-                    row[f"sharded{count}_vs_default"] for count in SHARD_COUNTS
-                )
-                print(
-                    f"{row['size']:>6} {row['final_rows']:>6} {row['steps']:>6} "
-                    f"{row['incremental_s'] * 1e3:>10.1f}ms "
-                    f"{row['default_s'] * 1e3:>8.1f}ms "
-                    f"{row['sharded2_s'] * 1e3:>8.1f}ms "
-                    f"{row['sharded4_s'] * 1e3:>8.1f}ms "
-                    f"{best_shard:>15.2f}x"
-                )
-            continue
         if workload["name"] == "checkpoint_overhead":
             print(
                 f"{'size':>6} {'rows':>6} {'steps':>6} "

@@ -370,10 +370,8 @@ class Solver:
         Non-primitive classes (fds, mvds, jds, pjds) are normalised to the
         paper's td/egd primitives over the instance's universe first, so the
         chase semantics stay exactly those of the paper.  ``strategy``
-        (``"rescan"`` / ``"incremental"`` / ``"sharded"`` / ``"auto"``)
-        overrides the configured ``chase_strategy`` for this one run; the
-        sharded strategy reads its worker count from the configured
-        ``ChaseBudget.shard_count``.
+        (``"rescan"`` / ``"incremental"`` / ``"auto"``) overrides the
+        configured ``chase_strategy`` for this one run.
         """
         coerced = self._coerce_all(dependencies)
         primitives = normalize_all(coerced, instance.universe)

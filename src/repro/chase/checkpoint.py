@@ -3,9 +3,9 @@
 The paper proves implication undecidable for typed template dependencies, so
 a budget-exhausted chase is an *expected* outcome -- and until now it threw
 away every step it applied.  The delta stream (:class:`TdDelta` /
-:class:`EgdDelta`) is already the replay log: the sharded strategies
-reconcile worker state by replaying it through :meth:`ChaseState.advance`.
-This module serializes that stream.
+:class:`EgdDelta`) is already a replay log: every applied step reports one,
+and each delta fully determines the post-step tableau.  This module
+serializes that stream.
 
 **Log format.**  One append-only JSONL segment per run, one record per line,
 each tagged with a ``type``:

@@ -11,12 +11,12 @@ is exhausted (``BUDGET_EXHAUSTED``).
 Re-validation goes through the strategy when it offers a
 ``trigger_is_active`` hook.  The incremental strategy on a kernel backend
 does: it answers from its column mirror of the live tableau with one mask
-computation.  Everything else -- rescan, ``chase_kernel="off"``, sharded,
-custom strategies, and the restored tail of a resumed round -- uses
+computation.  Everything else -- rescan, ``chase_kernel="off"``, custom
+strategies, and the restored tail of a resumed round -- uses
 :func:`~repro.chase.steps.trigger_is_active`, which scans the tableau for a
 witness row when the td's conclusion has existential values.
 
-**The strategy seam.**  Three strategies are provided:
+**The strategy seam.**  Two strategies are provided:
 
 * ``"rescan"`` re-enumerates all homomorphisms of all dependency bodies
   against the whole tableau every round (the historical engine, kept as the
@@ -24,11 +24,7 @@ witness row when the td's conclusion has existential values.
 * ``"incremental"`` (the default, via ``"auto"``) maintains a per-dependency
   trigger worklist updated from step deltas, so a round costs work
   proportional to what changed instead of to the tableau size, and a step's
-  re-validation costs one kernel mask computation;
-* ``"sharded"`` partitions the incremental worklist across
-  ``ChaseBudget.shard_count`` workers and merges their discoveries at each
-  round barrier, keeping results byte-identical to the sequential
-  strategies (the canonicalize/dedupe/sort below is the merge point).
+  re-validation costs one kernel mask computation.
 
 Pick one with ``ChaseBudget(chase_strategy="rescan")`` (or the ``strategy``
 keyword of :class:`ChaseEngine` / :func:`chase`, which overrides the budget
@@ -123,11 +119,9 @@ class ChaseEngine:
         size and carrying the default scheduling strategy (keyword-only;
         defaults to ``ChaseBudget()``).
     strategy:
-        Scheduling override: ``"rescan"``, ``"incremental"``, ``"sharded"``,
-        ``"auto"``, or a :class:`~repro.chase.strategies.ChaseStrategy`
-        instance.  ``None`` (the default) defers to
-        ``budget.chase_strategy``; the sharded strategy reads its worker
-        count from ``budget.shard_count``.
+        Scheduling override: ``"rescan"``, ``"incremental"``, ``"auto"``,
+        or a :class:`~repro.chase.strategies.ChaseStrategy` instance.
+        ``None`` (the default) defers to ``budget.chase_strategy``.
     max_steps, max_rows:
         Deprecated kwarg equivalents of ``budget``; explicit values override
         the corresponding budget fields.
@@ -198,7 +192,6 @@ class ChaseEngine:
             self._strategy_choice
             if self._strategy_choice is not None
             else self._budget.chase_strategy,
-            shard_count=self._budget.shard_count,
             kernel=self._budget.chase_kernel,
         )
 
@@ -210,12 +203,6 @@ class ChaseEngine:
         try:
             return self._run(instance, state, strategy, writer=writer)
         finally:
-            # Strategies may hold worker processes or thread pools (the
-            # sharded strategy does); release them even on an error path.
-            # start() respawns, so a user-held instance stays reusable.
-            close = getattr(strategy, "close", None)
-            if close is not None:
-                close()
             if writer is not None:
                 # After a footer this is a no-op; on an exception path it
                 # leaves a footer-less (orphaned, resumable) log behind --
@@ -241,9 +228,6 @@ class ChaseEngine:
                 point.instance, point.state, strategy, writer=writer, resume=point
             )
         finally:
-            close = getattr(strategy, "close", None)
-            if close is not None:
-                close()
             if writer is not None:
                 writer.close()
 
@@ -308,8 +292,7 @@ class ChaseEngine:
                 if exhausted:
                     # Resolve the strategy's kernel label so the result is
                     # byte-identical to a straight run cut at this step
-                    # (start() is cheap relative to a resume, and run()'s
-                    # finally closes whatever it spawns).
+                    # (start() is cheap relative to a resume).
                     strategy.start(state, self._compiled)
                     return self._budget_exhausted(
                         state, steps, rounds, trace, initial_values, strategy, writer
@@ -603,7 +586,7 @@ def resume_chase(
     first, and the strategy re-seeds from the post-tail tableau.  ``rounds``
     is scheduling bookkeeping and may undercount by one on termination (the
     uninterrupted run can end with an extra round listing only
-    already-satisfied triggers) -- the same caveat under which the three
+    already-satisfied triggers) -- the same caveat under which the two
     strategies are mutually byte-identical.  When checkpointing is on for
     the resumed run too, it writes a fresh self-contained log (resumes
     chain).

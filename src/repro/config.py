@@ -36,18 +36,14 @@ class ConfigError(ReproError):
 
 
 #: The recognised chase scheduling strategies (see :mod:`repro.chase.strategies`).
-CHASE_STRATEGIES = ("rescan", "incremental", "sharded", "auto")
+CHASE_STRATEGIES = ("rescan", "incremental", "auto")
 
 #: Retired strategy names and the strategy :meth:`ChaseBudget.from_dict` loads
 #: in their place.  Every strategy produces byte-identical chase results, so
 #: old checkpoint logs and config payloads resume and solve unchanged.
-_RETIRED_STRATEGIES = {"streaming": "incremental"}
+_RETIRED_STRATEGIES = {"streaming": "incremental", "sharded": "incremental"}
 
-#: Default worker count of the sharded strategy -- the single source shared
-#: by :class:`ChaseBudget`, its ``from_dict`` fallback, and ``make_strategy``.
-DEFAULT_SHARD_COUNT = 2
-
-ChaseStrategyName = Literal["rescan", "incremental", "sharded", "auto"]
+ChaseStrategyName = Literal["rescan", "incremental", "auto"]
 
 #: The recognised columnar-kernel modes (see :mod:`repro.chase.kernel`).
 #: Configuration restricts itself to the policy choices; the concrete
@@ -180,16 +176,11 @@ class ChaseBudget:
     chase_strategy:
         Which trigger-scheduling strategy the engine uses: ``"rescan"``
         (re-enumerate every trigger each round; the reference oracle),
-        ``"incremental"`` (delta-driven trigger index), ``"sharded"``
-        (the incremental worklist partitioned across ``shard_count``
-        workers, merged at each round barrier), or ``"auto"`` (currently
-        ``"incremental"``).  All strategies produce the same chase
-        result; pin ``"rescan"`` when debugging the trigger index.  A
-        retired strategy name is rejected here, and :meth:`from_dict`
+        ``"incremental"`` (delta-driven trigger index), or ``"auto"``
+        (currently ``"incremental"``).  Both strategies produce the same
+        chase result; pin ``"rescan"`` when debugging the trigger index.
+        A retired strategy name is rejected here, and :meth:`from_dict`
         loads it as its replacement.
-    shard_count:
-        How many workers the ``"sharded"`` strategy partitions the
-        trigger worklist across.  Ignored by the other strategies.
     chase_kernel:
         Whether trigger matching runs on the columnar kernel
         (:mod:`repro.chase.kernel`): ``"auto"`` (the pure-Python bitset
@@ -217,7 +208,6 @@ class ChaseBudget:
     max_steps: int = 2000
     max_rows: int = 5000
     chase_strategy: ChaseStrategyName = "auto"
-    shard_count: int = DEFAULT_SHARD_COUNT
     chase_kernel: ChaseKernelMode = "auto"
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     deadline: Optional[float] = None
@@ -227,8 +217,6 @@ class ChaseBudget:
             raise ConfigError("a chase budget needs max_steps >= 1")
         if self.max_rows < 1:
             raise ConfigError("a chase budget needs max_rows >= 1")
-        if self.shard_count < 1:
-            raise ConfigError("a chase budget needs shard_count >= 1")
         _check_strategy(self.chase_strategy)
         _check_kernel(self.chase_kernel)
         if not isinstance(self.checkpoint, CheckpointConfig):
@@ -278,7 +266,6 @@ class ChaseBudget:
             "max_steps": self.max_steps,
             "max_rows": self.max_rows,
             "chase_strategy": self.chase_strategy,
-            "shard_count": self.shard_count,
             "chase_kernel": self.chase_kernel,
             "checkpoint": self.checkpoint.to_dict(),
         }
@@ -288,16 +275,16 @@ class ChaseBudget:
         """Rebuild a budget from :meth:`to_dict` output (missing keys default).
 
         A retired strategy name loads as its replacement, so payloads that
-        older releases wrote with ``"streaming"`` -- checkpoint-log
-        headers, ``SolverConfig`` and ``ServiceConfig`` documents -- load
-        as ``"incremental"``.
+        older releases wrote with ``"streaming"`` or ``"sharded"`` --
+        checkpoint-log headers, ``SolverConfig`` and ``ServiceConfig``
+        documents -- load as ``"incremental"``.  Their ``shard_count`` key,
+        which configured the sharded strategy's workers, is ignored.
         """
         strategy = payload.get("chase_strategy", "auto")
         return cls(
             max_steps=payload.get("max_steps", 2000),
             max_rows=payload.get("max_rows", 5000),
             chase_strategy=_RETIRED_STRATEGIES.get(strategy, strategy),
-            shard_count=payload.get("shard_count", DEFAULT_SHARD_COUNT),
             chase_kernel=payload.get("chase_kernel", "auto"),
             checkpoint=CheckpointConfig.from_dict(payload.get("checkpoint", {})),
         )
@@ -510,23 +497,19 @@ class SolverConfig:
     def with_strategy(
         self,
         strategy: ChaseStrategyName,
-        shard_count: Optional[int] = None,
+        *,
         kernel: Optional[ChaseKernelMode] = None,
     ) -> "SolverConfig":
         """A copy pinning the chase scheduling strategy.
 
-        ``shard_count`` (only meaningful with ``"sharded"``) sets how many
-        workers the strategy partitions the trigger worklist across;
         ``kernel`` pins the columnar trigger-matching kernel (``"auto"`` /
-        ``"on"`` / ``"off"``).  ``None`` keeps the budget's current value
-        for either.  An unknown strategy name raises :class:`ConfigError`,
-        and so does a retired one: only :meth:`ChaseBudget.from_dict`
-        upgrades those, for payloads written by older releases.
+        ``"on"`` / ``"off"``); ``None`` keeps the budget's current value.
+        An unknown strategy name raises :class:`ConfigError`, and so does a
+        retired one: only :meth:`ChaseBudget.from_dict` upgrades those, for
+        payloads written by older releases.
         """
         _check_strategy(strategy)
         overrides: dict = {"chase_strategy": strategy}
-        if shard_count is not None:
-            overrides["shard_count"] = shard_count
         if kernel is not None:
             _check_kernel(kernel)
             overrides["chase_kernel"] = kernel

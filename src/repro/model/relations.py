@@ -120,7 +120,8 @@ class Relation:
     def __reduce__(self):
         # Pickle only the universe and rows: the homomorphism-index cache is
         # per-process derived state (and can dwarf the relation itself), so
-        # shipping a relation to a shard worker must not drag it along.
+        # shipping a relation to a caller-owned spawned pool must not drag
+        # it along.
         return (_rebuild_relation, (self._universe, self._rows))
 
     # -- paper operations -----------------------------------------------------

@@ -33,7 +33,7 @@ An error response::
 
 Library failures map to stable error codes (:func:`classify_exception`):
 DSL/dependency problems to ``parse_error``, an exhausted chase budget
-surfacing as an exception to ``budget_exhausted``, strategy/worker failures
+surfacing as an exception to ``budget_exhausted``, chase-strategy failures
 to ``strategy_error``, other library errors to ``solver_error``, and
 anything unexpected to ``internal``.  The fairness gate and the drain path
 use ``overloaded`` (429) and ``draining`` (503).

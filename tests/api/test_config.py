@@ -75,6 +75,46 @@ class TestRetiredStreamingStrategy:
             make_strategy("streaming")
 
 
+class TestRetiredSharded:
+    """``"sharded"`` and its ``shard_count`` knob are retired: old payloads
+    load as incremental with the key ignored, and naming either in code
+    fails."""
+
+    def test_payloads_naming_sharded_load_as_incremental(self):
+        from repro.config import ServiceConfig
+
+        assert "shard_count" not in ChaseBudget().to_dict()
+        budget = ChaseBudget.from_dict(
+            {**ChaseBudget().to_dict(), "chase_strategy": "sharded", "shard_count": 4}
+        )
+        assert budget == ChaseBudget(chase_strategy="incremental")
+        assert "shard_count" not in budget.to_dict()
+        payload = ServiceConfig(port=0).to_dict()
+        payload["solver"]["chase"]["chase_strategy"] = "sharded"
+        payload["solver"]["chase"]["shard_count"] = 4
+        config = ServiceConfig.from_dict(payload)
+        assert config == ServiceConfig(
+            port=0, solver=SolverConfig().with_strategy("incremental")
+        )
+        assert "shard_count" not in config.to_dict()["solver"]["chase"]
+
+    def test_naming_sharded_in_code_raises(self):
+        from repro.chase import StrategyError, make_strategy
+
+        with pytest.raises(ConfigError, match="unknown chase strategy"):
+            ChaseBudget(chase_strategy="sharded")
+        with pytest.raises(ConfigError, match="unknown chase strategy"):
+            SolverConfig().with_strategy("sharded")
+        with pytest.raises(StrategyError, match="unknown chase strategy"):
+            make_strategy("sharded")
+        with pytest.raises(TypeError):
+            ChaseBudget(shard_count=2)
+        with pytest.raises(TypeError):
+            SolverConfig().with_strategy("incremental", shard_count=2)
+        with pytest.raises(TypeError):
+            make_strategy("incremental", shard_count=2)
+
+
 class TestChaseEngineBudgets:
     def test_budget_object(self):
         td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)

@@ -6,8 +6,8 @@ chase randomized td/egd mixes (the shared ``random_case`` generator, every
 case of which applies at least one step), cut each run at several step
 budgets, resume from the durable log, and require the resumed result to
 match the uninterrupted run in every state-bearing field -- status,
-relation (fresh names included), canon, steps, trace, kernel -- under all
-three strategies.  ``rounds`` is scheduling bookkeeping excluded here for the
+relation (fresh names included), canon, steps, trace, kernel -- under both
+strategies.  ``rounds`` is scheduling bookkeeping excluded here for the
 same reason the cross-strategy differential suite excludes it.
 
 The loud-failure half: truncated, corrupted, wrong-schema and completed
@@ -53,8 +53,8 @@ from repro.util.errors import ChaseBudgetExceeded, ReproError
 
 AB = Universe.from_names("AB")
 
-#: strategy x seed pairs: 210 genuine kill-and-resume mixes.
-STRATEGIES = ("rescan", "incremental", "sharded")
+#: strategy x seed pairs: 140 genuine kill-and-resume mixes.
+STRATEGIES = ("rescan", "incremental")
 SEEDS = range(70)
 
 
@@ -80,12 +80,6 @@ def _assert_resumed_matches(resumed, straight, label):
     assert resumed.strategy == straight.strategy, label
 
 
-def _strategy_budget(budget: ChaseBudget, strategy: str) -> ChaseBudget:
-    if strategy == "sharded":
-        return replace(budget, chase_strategy=strategy, shard_count=2)
-    return replace(budget, chase_strategy=strategy)
-
-
 # -- the kill-and-resume property suite ---------------------------------------
 
 
@@ -94,7 +88,7 @@ class TestKillAndResume:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_resume_matches_straight_run(self, tmp_path, seed, strategy, random_case):
         instance, deps, budget = random_case(seed)
-        budget = _strategy_budget(budget, strategy)
+        budget = replace(budget, chase_strategy=strategy)
         straight = chase(instance, deps, budget=budget, trace=True)
         total = straight.steps
         assert total >= 1, f"seed={seed}: the case applies no steps"
@@ -430,6 +424,9 @@ FIXTURE = os.path.join(
 STREAMING_FIXTURE = os.path.join(
     os.path.dirname(__file__), os.pardir, "fixtures", "checkpoint_streaming.jsonl"
 )
+SHARDED_FIXTURE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "fixtures", "checkpoint_sharded.jsonl"
+)
 
 
 class TestCommittedFixture:
@@ -439,8 +436,9 @@ class TestCommittedFixture:
     chain log committed at schema 1.  If a schema bump breaks this test,
     either register a migration from version 1 or regenerate the fixture
     alongside one -- never silently drop loadability of sealed logs.
-    ``checkpoint_streaming.jsonl`` is the same chain log, written by a
-    release that still had the streaming strategy, and its header says so.
+    ``checkpoint_streaming.jsonl`` and ``checkpoint_sharded.jsonl`` are the
+    same chain log, written by releases that still had the streaming and
+    sharded strategies, and their headers say so.
     """
 
     def test_fixture_loads_and_reports_its_state(self):
@@ -460,9 +458,25 @@ class TestCommittedFixture:
     def test_retired_streaming_log_resumes_as_incremental(self, tmp_path):
         """The header's ``"streaming"`` budget loads as ``"incremental"``,
         and raising it resumes into exactly the straight 6-step run."""
+        self._assert_resumes_as_incremental(STREAMING_FIXTURE, tmp_path)
+
+    def test_retired_sharded_log_resumes_as_incremental(self, tmp_path):
+        """The header's ``"sharded"`` budget, with its ``shard_count`` of 4,
+        loads as a plain incremental budget and resumes like the others."""
+        point = self._assert_resumes_as_incremental(SHARDED_FIXTURE, tmp_path)
+        assert point.budget == ChaseBudget(
+            max_steps=3,
+            chase_strategy="incremental",
+            checkpoint=CheckpointConfig(mode="on", interval=2),
+        )
+
+    @staticmethod
+    def _assert_resumes_as_incremental(path, tmp_path):
+        """Load a retired strategy's log, raise it to 6 steps, and require
+        the straight 6-step run; returns the loaded point."""
         instance, deps = _chain_case()
         straight = chase(instance, deps, budget=ChaseBudget(max_steps=6), trace=True)
-        point = load_checkpoint(STREAMING_FIXTURE)
+        point = load_checkpoint(path)
         assert point.budget.chase_strategy == "incremental"
         raised = replace(
             point.budget,
@@ -471,4 +485,5 @@ class TestCommittedFixture:
         )
         resumed = resume_chase(point, budget=raised)
         assert resumed.strategy == "incremental"
-        _assert_resumed_matches(resumed, straight, "committed streaming log")
+        _assert_resumed_matches(resumed, straight, os.path.basename(path))
+        return point

@@ -1,15 +1,14 @@
-"""Differential tests: rescan vs incremental vs sharded.
+"""Differential tests: rescan vs incremental.
 
-The incremental trigger index and the sharded worklist partition are only
-trustworthy if they are *indistinguishable* from the reference rescan
-scheduler.  These tests chase hundreds of randomized instances -- td/egd
-mixes, existential tds, untyped runaways, tight budgets -- under all three
-strategies (sharded at every shard_count in ``SHARD_COUNTS``) and require
-identical results: same final relation (fresh-value names included), same
-status, same canon map, same step count.  The engine makes this exact
-equality achievable by canonicalizing and deterministically ordering each
-round's triggers for *every* strategy; any divergence here means a
-worklist dropped or invented a trigger, or a shard merge lost a delta.
+The incremental trigger index is only trustworthy if it is
+*indistinguishable* from the reference rescan scheduler.  These tests chase
+hundreds of randomized instances -- td/egd mixes, existential tds, untyped
+runaways, tight budgets -- under both strategies and require identical
+results: same final relation (fresh-value names included), same status,
+same canon map, same step count.  The engine makes this exact equality
+achievable by canonicalizing and deterministically ordering each round's
+triggers for *every* strategy; any divergence here means the worklist
+dropped or invented a trigger.
 
 Each randomized family also asserts the share of its cases that applied at
 least one step, so a generator drifting into already-satisfied instances
@@ -17,12 +16,10 @@ fails loudly instead of passing vacuously.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro.chase import chase
-from repro.chase.strategies import ShardedStrategy
 from repro.config import ChaseBudget
 from repro.dependencies import (
     EqualityGeneratingDependency,
@@ -40,11 +37,8 @@ from repro.model.tuples import Row
 ABC = Universe.from_names("ABC")
 N_CASES = 225
 
-#: Worker counts every differential case is additionally chased with.
-SHARD_COUNTS = (1, 2, 4)
 
-
-def _assert_equivalent(instance, deps, budget, label, shard_counts=SHARD_COUNTS):
+def _assert_equivalent(instance, deps, budget, label):
     rescan = chase(instance, deps, budget=budget, strategy="rescan")
     incremental = chase(instance, deps, budget=budget, strategy="incremental")
     assert rescan.strategy == "rescan"
@@ -53,18 +47,6 @@ def _assert_equivalent(instance, deps, budget, label, shard_counts=SHARD_COUNTS)
     assert incremental.relation == rescan.relation, label
     assert dict(incremental.canon) == dict(rescan.canon), label
     assert incremental.steps == rescan.steps, label
-    for shard_count in shard_counts:
-        sharded = chase(
-            instance,
-            deps,
-            budget=replace(budget, chase_strategy="sharded", shard_count=shard_count),
-        )
-        sharded_label = f"{label} [shard_count={shard_count}]"
-        assert sharded.strategy == "sharded", sharded_label
-        assert sharded.status == rescan.status, sharded_label
-        assert sharded.relation == rescan.relation, sharded_label
-        assert dict(sharded.canon) == dict(rescan.canon), sharded_label
-        assert sharded.steps == rescan.steps, sharded_label
     return rescan
 
 
@@ -200,25 +182,3 @@ def test_mvd_chain_is_equivalent():
     ]
     instance = random_typed_relation(universe, rows=4, domain_size=2, seed=11)
     _assert_equivalent(instance, mvd_tds, ChaseBudget(), "mvd chain")
-
-
-@pytest.mark.parametrize("factory", [ShardedStrategy])
-@pytest.mark.parametrize("seed", range(8))
-def test_process_executor_is_equivalent(seed, factory):
-    """The process-pool executor is byte-identical to rescan too.
-
-    The bulk of the suite exercises the threaded executor (worker spawn per
-    case would dominate the runtime); these cases pin ``executor="process"``
-    so the round-barrier delta replay into the per-shard mirror states is
-    differentially validated through real worker processes.
-    """
-    instance, deps, budget = _cascade_case(seed)
-    rescan = chase(instance, deps, budget=budget, strategy="rescan")
-    strategy = factory(shard_count=2, executor="process")
-    result = chase(instance, deps, budget=budget, strategy=strategy)
-    label = f"{strategy.name} process seed={seed}"
-    assert strategy.executor == "process"
-    assert result.status == rescan.status, label
-    assert result.relation == rescan.relation, label
-    assert dict(result.canon) == dict(rescan.canon), label
-    assert result.steps == rescan.steps, label

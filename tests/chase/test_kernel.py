@@ -48,7 +48,6 @@ from repro.chase.steps import find_triggers as classic_find_triggers
 from repro.chase.strategies import (
     IncrementalStrategy,
     RescanStrategy,
-    ShardedStrategy,
     make_strategy,
 )
 from repro.chase.strategies import extend_through as classic_extend_through
@@ -187,29 +186,6 @@ def test_auto_without_numpy_is_bitset(monkeypatch, random_case):
     instance, deps, budget = random_case(4400)
     result = chase(instance, deps, budget=replace(budget, chase_kernel="auto"))
     assert result.kernel == "bitset"
-
-
-@pytest.mark.parametrize("seed", range(5000, 5008))
-def test_kernel_sharded_and_streaming_identical(seed, random_case):
-    """Thread-mode shard cores with private kernels match the classic path."""
-    instance, deps, budget = random_case(seed)
-    off = chase(instance, deps, budget=replace(budget, chase_kernel="off"))
-    strategy = ShardedStrategy(shard_count=2, executor="thread", kernel="on")
-    result = chase(instance, deps, budget=budget, strategy=strategy)
-    assert strategy.kernel in ("numpy", "bitset")
-    assert result.kernel == strategy.kernel
-    _assert_same_result(result, off, f"seed {seed} sharded")
-
-
-@pytest.mark.parametrize("factory", [ShardedStrategy])
-def test_kernel_process_executor_identical(factory, random_case):
-    """Worker processes rebuild their kernels from the shipped backend name."""
-    instance, deps, budget = random_case(6001)
-    off = chase(instance, deps, budget=replace(budget, chase_kernel="off"))
-    strategy = factory(shard_count=2, executor="process", kernel="on")
-    result = chase(instance, deps, budget=budget, strategy=strategy)
-    assert strategy.kernel in ("numpy", "bitset")
-    _assert_same_result(result, off, factory.__name__)
 
 
 # -- per-step re-validation ----------------------------------------------------
@@ -410,7 +386,7 @@ class TestConfigPlumbing:
         config = SolverConfig().with_strategy("incremental", kernel="off")
         assert config.chase.chase_kernel == "off"
         assert config.chase.chase_strategy == "incremental"
-        kept = config.with_strategy("sharded", shard_count=2)
+        kept = config.with_strategy("rescan")
         assert kept.chase.chase_kernel == "off"
         with pytest.raises(ConfigError):
             SolverConfig().with_strategy("incremental", kernel="bitset")

@@ -178,15 +178,17 @@ class TestChaseStateIndex:
 
 
 class TestShardOrderReplay:
-    """RowIndex replay at the sharded round barrier.
+    """RowIndex replay of one delta stream by several index copies.
 
-    The sharded strategy reconciles per-shard sub-indexes by replaying the
-    round's delta stream through ``apply_delta``.  Two properties keep the
-    merged state byte-identical to a sequential run: every interleaving of
-    *commuting* shard delta groups (touching disjoint rows -- the case the
-    component partitioner engineers) converges to the same buckets, and an
-    egd merge whose rewrite spans rows held by several shards' sub-indexes
-    evicts the pre-rewrite rows from all of them, leaving no stale buckets.
+    Any copy of the index can be brought up to date by replaying the
+    engine's delta stream through ``apply_delta``; checkpoint resume relies
+    on the same path.  Three properties keep a replayed copy equal to a
+    fresh rebuild: every interleaving of *commuting* delta groups (touching
+    disjoint rows) converges to the same buckets, an egd merge whose
+    rewrite spans rows held by several copies evicts the pre-rewrite rows
+    from all of them, and dependent deltas replayed in engine order land on
+    the rebuilt index.  The test names keep the vocabulary of the retired
+    sharded strategy, whose per-shard sub-indexes they were written for.
     """
 
     AB = Universe.from_names("AB")

@@ -163,6 +163,8 @@ class TestIncrementalWorklist:
         assert {t.valuation for t in first}.isdisjoint(
             {t.valuation for t in second}
         )
+        # Nothing applied since the last barrier -> no candidates left.
+        assert strategy.next_round() == []
 
     def test_observe_ignores_noop_deltas(self, mvd_td, counterexample):
         from repro.chase import EgdDelta
@@ -183,6 +185,36 @@ class TestIncrementalWorklist:
         batch = strategy.next_round()
         keys = [(id(t.dependency), t.valuation) for t in batch]
         assert len(keys) == len(set(keys))
+
+    def test_strategy_instance_is_reusable_across_runs(self):
+        """start() resets every per-run structure, so one instance serves
+        many runs: each engine run repeats a fresh run exactly, on the
+        kernel and on the classic matcher."""
+        successor = TemplateDependency(
+            Row.untyped_over(AB, ["y", "z"]),
+            Relation.untyped(AB, [["x", "y"]]),
+            name="succ",
+        )
+        body = Relation.untyped(AB, [["u", "p"], ["u", "q"]])
+        values = {v.name: v for v in body.values()}
+        fd = EqualityGeneratingDependency(values["p"], values["q"], body)
+        instance = Relation.untyped(
+            AB, [["v0", "v1"], ["v1", "v2"], ["v0", "w1"], ["w1", "w2"]]
+        )
+        deps, budget = [successor, fd], ChaseBudget(max_steps=12)
+        fresh = chase(instance, deps, budget=budget)
+        assert fresh.steps == 12
+        for kernel in ("bitset", "off"):
+            strategy = IncrementalStrategy(kernel=kernel)
+            engine = ChaseEngine(deps, budget=budget, strategy=strategy)
+            for run in (1, 2):
+                result = engine.run(instance)
+                label = f"kernel={kernel} run {run}"
+                assert result.kernel == kernel, label
+                assert result.status == fresh.status, label
+                assert result.steps == fresh.steps, label
+                assert result.relation == fresh.relation, label
+                assert dict(result.canon) == dict(fresh.canon), label
 
 
 class TestStrategySelection:

@@ -155,7 +155,7 @@ class TestErrorClassification:
         "exc, code, status",
         [
             (ChaseBudgetExceeded("out of steps"), "budget_exhausted", 422),
-            (StrategyError("shard died"), "strategy_error", 500),
+            (StrategyError("unknown chase strategy"), "strategy_error", 500),
             (DependencyError("no parse"), "parse_error", 422),
             (ReproError("other library failure"), "solver_error", 422),
             (ValueError("surprise"), "internal", 500),
