@@ -396,6 +396,8 @@ def test_canonical_speedup_on_renamed_duplicates():
 
 
 def main() -> None:
+    from machine import machine_stamp  # script mode: benchmarks/ is on sys.path
+
     problems = workload(Solver(universe=UNIVERSE))
     print(
         f"workload: {len(problems)} problems "
@@ -470,6 +472,7 @@ def main() -> None:
 
     payload = {
         "benchmark": "api_paths",
+        "machine": machine_stamp(),
         "workload": {
             "problems": len(problems),
             "distinct": len(PREMISE_BLOCKS) * len(CONCLUSIONS),

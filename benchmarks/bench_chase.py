@@ -36,13 +36,10 @@ head-to-head:
   and ``A -> C`` in egd form), so every round carries extension work for
   every dependency and the egd merges rewrite rows the tds then extend
   through.  At 256 and 512 starting rows it compares the classic
-  dict-probing matcher against the columnar trigger kernel's two backends.
-  The numpy backend must beat the classic matcher by >= 2x on the 512-row
-  size (CI gate, skipped when the ``[fast]`` extra is absent); the
-  dependency-free bitset backend must stay at >= 0.9x parity, so turning
-  the kernel on without numpy never costs.
+  dict-probing matcher against the columnar trigger kernel, which must
+  beat it by >= 2x on the 512-row size (CI gate).
 * **budget-bound-chain** -- the successor chain under a step budget, with
-  the same three matchers.  Every step re-validates a non-total td: the
+  the same two matchers.  Every step re-validates a non-total td: the
   classic matcher scans the tableau for a witness row, the kernel answers
   from its column mirror.  The bitset path must beat the classic matcher
   by >= 5x on the 192-link chain (CI gate), or the default path has
@@ -83,13 +80,6 @@ from repro.model.values import untyped
 
 AB = Universe.from_names("AB")
 ABC = Universe.from_names("ABC")
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
 
 #: Timed runs per measurement (after one warmup); medians feed the gates.
 REPEATS = 3
@@ -211,9 +201,8 @@ def run_strategy(instance, dependencies, strategy, max_steps=200000, repeats=REP
     CI gates stay robust against one-off scheduler noise.
 
     The budget pins ``chase_kernel="off"`` so string-named strategies measure
-    the classic dict-probing matcher regardless of the ``REPRO_CHASE_KERNEL``
-    environment; kernel measurements pass explicit strategy *instances*
-    (which ignore the budget's kernel field) via :func:`compare_kernel`.
+    the classic dict-probing matcher; kernel measurements pass explicit
+    strategy *instances* (which ignore the budget's kernel field).
     """
     budget = ChaseBudget(max_steps=max_steps, max_rows=200000, chase_kernel="off")
     result = chase(instance, dependencies, budget=budget, strategy=strategy)
@@ -236,8 +225,8 @@ def compare(instance, dependencies, max_steps=200000, repeats=REPEATS, bitset=Fa
     """Run rescan + incremental, assert identical results, return timings.
 
     ``incremental_s`` is the classic matcher (see :func:`run_strategy`);
-    ``bitset=True`` adds the default path, incremental on the bitset kernel,
-    as ``bitset_s`` and its speedup over the classic matcher.
+    ``bitset=True`` adds the default path, incremental on the kernel, as
+    ``bitset_s`` and its speedup over the classic matcher.
     """
     rescan, rescan_time = run_strategy(
         instance, dependencies, "rescan", max_steps, repeats
@@ -258,7 +247,7 @@ def compare(instance, dependencies, max_steps=200000, repeats=REPEATS, bitset=Fa
         result, bitset_time = run_strategy(
             instance,
             dependencies,
-            IncrementalStrategy(kernel="bitset"),
+            IncrementalStrategy(kernel="auto"),
             max_steps,
             repeats,
         )
@@ -344,7 +333,7 @@ _KERNEL_REPORTS = {}
 
 
 def compare_kernel(chains, length, max_steps=120, repeats=REPEATS):
-    """Classic matcher vs the kernel's backends on the wide workload."""
+    """Classic matcher vs the kernel on the wide workload."""
     key = ("kernel_wide", chains, length, max_steps)
     if key not in _KERNEL_REPORTS:
         instance, deps = wide_workload(chains, length)
@@ -353,7 +342,7 @@ def compare_kernel(chains, length, max_steps=120, repeats=REPEATS):
 
 
 def compare_budget_bound(length, steps, repeats=REPEATS):
-    """Classic matcher vs the kernel's backends on the budget-bound chain."""
+    """Classic matcher vs the kernel on the budget-bound chain."""
     key = ("budget_bound_chain", length, steps)
     if key not in _KERNEL_REPORTS:
         instance, deps = successor_chain_workload(length)
@@ -362,34 +351,26 @@ def compare_budget_bound(length, steps, repeats=REPEATS):
 
 
 def kernel_report(instance, deps, max_steps, repeats=REPEATS):
-    """Time the classic matcher and each kernel backend on one workload.
+    """Time the classic matcher and the kernel on one workload.
 
-    All runs are single-threaded ``IncrementalStrategy`` instances, so the
-    ratios isolate the trigger-matching substrate from executor effects.
-    Explicit ``kernel=`` pins on the instances make the measurement immune
-    to the ``REPRO_CHASE_KERNEL`` override CI uses to force the *default*
-    resolution.  The numpy column is present only when the ``[fast]`` extra
-    is installed; the bitset column always is.
+    Both runs are single-threaded ``IncrementalStrategy`` instances, so the
+    ratio isolates the trigger-matching substrate from everything else.
     """
     classic, classic_time = run_strategy(
         instance, deps, IncrementalStrategy(kernel="off"), max_steps, repeats
     )
-    entry = {
+    result, bitset_time = run_strategy(
+        instance, deps, IncrementalStrategy(kernel="auto"), max_steps, repeats
+    )
+    _assert_same_result(result, classic)
+    return {
         "final_rows": len(classic.relation),
         "steps": classic.steps,
         "status": classic.status.value,
-        "numpy_available": HAVE_NUMPY,
         "classic_s": round(classic_time, 6),
+        "bitset_s": round(bitset_time, 6),
+        "bitset_vs_classic": round(classic_time / bitset_time, 2),
     }
-    backends = ["bitset"] + (["numpy"] if HAVE_NUMPY else [])
-    for backend in backends:
-        result, elapsed = run_strategy(
-            instance, deps, IncrementalStrategy(kernel=backend), max_steps, repeats
-        )
-        _assert_same_result(result, classic)
-        entry[f"{backend}_s"] = round(elapsed, 6)
-        entry[f"{backend}_vs_classic"] = round(classic_time / elapsed, 2)
-    return entry
 
 
 # -- pytest entry points (the CI smoke; benchmarks/ is outside tier-1) --------
@@ -488,39 +469,18 @@ def test_checkpoint_overhead_within_ten_percent():
 def test_kernel_beats_incremental_on_wide_workload():
     """The kernel acceptance gate (CI): >= 2x over the classic matcher.
 
-    The columnar numpy backend exists to make wide rounds cheap; if it
-    cannot double the classic incremental matcher's throughput on the
-    512-row wide workload, the vectorized candidate intersection has
-    regressed into overhead and this fails loudly.
+    The columnar kernel exists to make wide rounds cheap; if it cannot
+    double the classic incremental matcher's throughput on the 512-row
+    wide workload, the posting-list candidate intersection has regressed
+    into overhead and this fails loudly.
     """
-    import pytest
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed (the [fast] extra); no numpy backend")
     chains, length = KERNEL_WIDE_SIZES[-1]
     report = compare_kernel(chains, length)
-    assert report["numpy_vs_classic"] >= 2.0, (
-        f"numpy kernel only {report['numpy_vs_classic']}x vs the classic "
+    assert report["bitset_vs_classic"] >= 2.0, (
+        f"kernel only {report['bitset_vs_classic']}x vs the classic "
         f"matcher on the {chains}x{length} wide workload "
         f"(classic {report['classic_s'] * 1e3:.0f} ms, "
-        f"numpy {report['numpy_s'] * 1e3:.0f} ms)"
-    )
-
-
-def test_kernel_bitset_fallback_stays_at_parity():
-    """The zero-dependency floor (CI): the bitset backend must not cost.
-
-    ``kernel="on"`` without numpy falls back to the pure-Python bitset
-    backend; it is allowed to tie the classic matcher but never to collapse
-    below it, so enabling the kernel is always safe.
-    """
-    chains, length = KERNEL_WIDE_SIZES[-1]
-    report = compare_kernel(chains, length)
-    assert report["bitset_vs_classic"] >= 0.9, (
-        f"bitset kernel collapsed to {report['bitset_vs_classic']}x vs the "
-        f"classic matcher on the {chains}x{length} wide workload "
-        f"(classic {report['classic_s'] * 1e3:.0f} ms, "
-        f"bitset {report['bitset_s'] * 1e3:.0f} ms)"
+        f"kernel {report['bitset_s'] * 1e3:.0f} ms)"
     )
 
 
@@ -547,7 +507,13 @@ def test_bitset_revalidation_5x_classic_on_budget_bound_chain():
 
 
 def full_matrix():
-    results = {"benchmark": "chase_strategies", "workloads": []}
+    from machine import machine_stamp  # script mode: benchmarks/ is on sys.path
+
+    results = {
+        "benchmark": "chase_strategies",
+        "machine": machine_stamp(),
+        "workloads": [],
+    }
     chain_rows = []
     for length, steps in SUCCESSOR_SIZES:
         instance, deps = successor_chain_workload(length)
@@ -652,27 +618,14 @@ def main() -> None:
         if workload["name"] in ("kernel_wide", "budget_bound_chain"):
             print(
                 f"{'size':>6} {'rows':>6} {'steps':>6} "
-                f"{'classic':>10} {'bitset':>10} {'numpy':>10} "
-                f"{'bitset-x':>9} {'numpy-x':>8}"
+                f"{'classic':>10} {'bitset':>10} {'bitset-x':>9}"
             )
             for row in workload["sizes"]:
-                numpy_s = (
-                    f"{row['numpy_s'] * 1e3:>8.1f}ms"
-                    if "numpy_s" in row
-                    else f"{'n/a':>10}"
-                )
-                numpy_x = (
-                    f"{row['numpy_vs_classic']:>7.2f}x"
-                    if "numpy_vs_classic" in row
-                    else f"{'n/a':>8}"
-                )
                 print(
                     f"{row['size']:>6} {row['final_rows']:>6} {row['steps']:>6} "
                     f"{row['classic_s'] * 1e3:>8.1f}ms "
                     f"{row['bitset_s'] * 1e3:>8.1f}ms "
-                    f"{numpy_s} "
-                    f"{row['bitset_vs_classic']:>8.2f}x "
-                    f"{numpy_x}"
+                    f"{row['bitset_vs_classic']:>8.2f}x"
                 )
             continue
         print(

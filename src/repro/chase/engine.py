@@ -9,7 +9,7 @@ when a round offers no trigger (``TERMINATED``) or when the step/row budget
 is exhausted (``BUDGET_EXHAUSTED``).
 
 Re-validation goes through the strategy when it offers a
-``trigger_is_active`` hook.  The incremental strategy on a kernel backend
+``trigger_is_active`` hook.  The incremental strategy on the columnar kernel
 does: it answers from its column mirror of the live tableau with one mask
 computation.  Everything else -- rescan, ``chase_kernel="off"``, custom
 strategies, and the restored tail of a resumed round -- uses
@@ -499,7 +499,7 @@ class ChaseEngine:
             canon=canon,
             trace=tuple(trace),
             strategy=strategy.name,
-            # Strategies resolve their kernel backend in start(); anything
+            # Strategies resolve their trigger matcher in start(); anything
             # without the attribute (custom strategies) ran the classic path.
             kernel=getattr(strategy, "kernel", None) or "off",
             checkpoint=token,

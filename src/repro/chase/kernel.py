@@ -6,13 +6,12 @@ candidate trigger with an O(|relation|) ``row_embeddings`` scan when the
 conclusion row is non-total.  This module replaces both inner loops with a
 columnar mirror of the tableau:
 
-* every cell value is interned to a small integer id, one column array per
+* every cell value is interned to a small integer id, one column list per
   attribute (attributes in ``Row.items()`` order, i.e. sorted by name, so a
   cell is read positionally instead of via ``Row.__getitem__``);
-* a candidate row set is a bitset -- a plain Python ``int`` mask in the
-  ``bitset`` backend, a numpy ``bool_`` array in the ``numpy`` backend --
-  so "rows matching this partial valuation" is a handful of posting-list
-  intersections (or vectorized column compares) instead of a per-row probe;
+* a candidate row set is a bitset -- a plain Python ``int`` whose bit *s*
+  is row slot *s* -- so "rows matching this partial valuation" is a
+  handful of posting-list intersections instead of a per-row probe;
 * the non-total td violation check becomes a single mask computation: the
   bound conclusion cells intersect their postings, the free (existential)
   cells restrict to the tag-compatible rows, and duplicated existential
@@ -32,19 +31,16 @@ the trigger *sets* the classic ``extend_through`` emits (the engine's fair
 scheduler canonicalizes, dedupes, and sorts every round, so emission order
 is free), which the randomized differential suite pins.
 
-numpy is strictly optional: the bitset backend is the always-on
-pure-Python default (``auto``), which never imports numpy; ``on`` /
-``numpy`` pick the numpy backend when numpy imports, and
-``REPRO_CHASE_KERNEL`` force-overrides ``auto`` resolutions for CI
-matrices.
+The kernel is pure Python and has no dependencies.  ``chase_kernel="auto"``
+(the default) runs it; ``"off"`` keeps the classic matcher.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chase.steps import CompiledDependency, StepDelta
+from repro.config import CHASE_KERNELS
 from repro.model.relations import Relation
 from repro.model.tuples import Row
 from repro.model.valuations import Valuation
@@ -52,287 +48,30 @@ from repro.model.values import Value
 from repro.util.errors import ReproError
 
 __all__ = [
-    "KERNEL_ENV",
-    "KERNEL_MODES",
     "KernelError",
     "TriggerKernel",
     "resolve_kernel",
 ]
 
-#: Environment variable force-overriding ``auto`` kernel resolutions.  Set it
-#: to ``on`` / ``off`` / ``numpy`` / ``bitset`` to pin every strategy whose
-#: configuration left the kernel on ``auto`` (explicit per-strategy choices
-#: always win, so differential comparisons keep their pinned baselines).
-KERNEL_ENV = "REPRO_CHASE_KERNEL"
-
-#: Modes understood by :func:`resolve_kernel` (config files restrict
-#: themselves to the first three; ``numpy`` / ``bitset`` force one backend).
-KERNEL_MODES = ("auto", "on", "off", "numpy", "bitset")
-
 
 class KernelError(ReproError):
-    """An unknown kernel mode, or a forced backend that cannot be built."""
-
-
-def _numpy():
-    """Import numpy right now, or return None.
-
-    Imported freshly on every call (never cached) so test suites can prove
-    the numpy-absent behaviour by patching ``sys.modules``.
-    """
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
+    """An unknown kernel mode."""
 
 
 def resolve_kernel(mode: Optional[str] = None) -> Optional[str]:
-    """Resolve a kernel mode to a backend name, or None for the classic path.
+    """Resolve a kernel mode to the matcher a run reports.
 
-    ``off`` -> None; ``numpy`` / ``bitset`` force that backend (``numpy``
-    raises :class:`KernelError` when numpy is not importable); ``on`` means
-    "use the kernel" (numpy backend when available, bitset otherwise); and
-    ``auto`` -- the default -- uses the bitset backend, which is faster than
-    the classic matcher on every ``bench_chase.py`` workload and than the
-    numpy backend on chains, merge cascades and mvd chains (within noise of
-    it on the wide rounds), and leaves numpy unimported.  Only ``auto`` (or
-    ``None``) consults :data:`KERNEL_ENV`, so CI can force entire suites on
-    or off without silently rewriting explicitly pinned comparisons.
+    ``"auto"`` (or ``None``) -> ``"bitset"``, the columnar kernel;
+    ``"off"`` -> None, the classic matcher.  Any other mode, retired ones
+    included, raises :class:`KernelError`.
     """
     resolved = "auto" if mode is None else str(mode).strip().lower()
-    if resolved == "auto":
-        env = os.environ.get(KERNEL_ENV, "").strip().lower()
-        if env:
-            resolved = env
-    if resolved not in KERNEL_MODES:
+    if resolved not in CHASE_KERNELS:
         raise KernelError(
             f"unknown chase kernel mode {resolved!r}; expected one of "
-            f"{', '.join(KERNEL_MODES)}"
+            f"{', '.join(CHASE_KERNELS)}"
         )
-    if resolved == "off":
-        return None
-    if resolved in ("auto", "bitset"):
-        return "bitset"
-    if resolved == "numpy":
-        if _numpy() is None:
-            raise KernelError(
-                "chase kernel forced to 'numpy' but numpy is not importable; "
-                "install the [fast] extra or use the 'bitset' backend"
-            )
-        return "numpy"
-    return "numpy" if _numpy() is not None else "bitset"
-
-
-class _BitsetStore:
-    """Pure-Python columnar mirror; candidate sets are ``int`` bitmasks.
-
-    Bit *s* of a mask is row slot *s*.  Postings map ``(column, value-id)``
-    to the mask of live rows carrying that value, so a conjunctive
-    constraint is an ``&`` chain over at most arity-many ints.
-    """
-
-    backend = "bitset"
-
-    def __init__(self, nattrs: int) -> None:
-        self._nattrs = nattrs
-        self._intern: Dict[Value, int] = {}
-        self._values: List[Value] = []
-        self._cols: List[List[int]] = [[] for _ in range(nattrs)]
-        self._typed: List[int] = [0] * nattrs
-        self._postings: Dict[Tuple[int, int], int] = {}
-        self._alive = 0
-        self._slot_of: Dict[Row, int] = {}
-        self._size = 0
-
-    def __contains__(self, row: Row) -> bool:
-        return row in self._slot_of
-
-    def vid(self, value: Value) -> Optional[int]:
-        return self._intern.get(value)
-
-    def _intern_value(self, value: Value) -> int:
-        vid = self._intern.get(value)
-        if vid is None:
-            vid = len(self._values)
-            self._intern[value] = vid
-            self._values.append(value)
-        return vid
-
-    def add_row(self, row: Row) -> None:
-        if row in self._slot_of:
-            return
-        slot = self._size
-        self._size = slot + 1
-        self._slot_of[row] = slot
-        bit = 1 << slot
-        self._alive |= bit
-        postings = self._postings
-        for ai, (_, value) in enumerate(row.items()):
-            vid = self._intern_value(value)
-            self._cols[ai].append(vid)
-            key = (ai, vid)
-            postings[key] = postings.get(key, 0) | bit
-            if value.tag is not None:
-                self._typed[ai] |= bit
-
-    def discard_row(self, row: Row) -> None:
-        slot = self._slot_of.pop(row, None)
-        if slot is None:
-            return
-        bit = 1 << slot
-        self._alive &= ~bit
-        postings = self._postings
-        for ai in range(self._nattrs):
-            key = (ai, self._cols[ai][slot])
-            remaining = postings.get(key, 0) & ~bit
-            if remaining:
-                postings[key] = remaining
-            else:
-                postings.pop(key, None)
-            self._typed[ai] &= ~bit
-
-    def candidates(self, constraints: Iterable[Tuple[int, int]]) -> int:
-        mask = None
-        postings = self._postings
-        for key in constraints:
-            bucket = postings.get(key, 0)
-            mask = bucket if mask is None else mask & bucket
-            if not mask:
-                return 0
-        return self._alive if mask is None else mask
-
-    def slots(self, mask: int) -> Iterator[int]:
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def mask_empty(self, mask: int) -> bool:
-        return not mask
-
-    def cell(self, ai: int, slot: int) -> Value:
-        return self._values[self._cols[ai][slot]]
-
-    def restrict_tag(self, mask: int, ai: int, tagged: bool) -> int:
-        typed = self._typed[ai]
-        return mask & typed if tagged else mask & ~typed
-
-    def any_rows(self, mask: int, groups: Tuple[Tuple[int, ...], ...]) -> bool:
-        """Whether some row in ``mask`` has equal cells within every group."""
-        cols = self._cols
-        for slot in self.slots(mask):
-            if all(
-                cols[group[0]][slot] == cols[aj][slot]
-                for group in groups
-                for aj in group[1:]
-            ):
-                return True
-        return False
-
-
-class _NumpyStore:
-    """numpy columnar mirror; candidate sets are ``bool_`` arrays.
-
-    Columns are capacity-doubling ``int64`` arrays of value ids plus a
-    ``bool_`` typed-cell array per attribute and a shared liveness array;
-    a conjunctive constraint is a chain of vectorized column compares.
-    """
-
-    backend = "numpy"
-
-    def __init__(self, nattrs: int, np) -> None:
-        self._np = np
-        self._nattrs = nattrs
-        self._intern: Dict[Value, int] = {}
-        self._values: List[Value] = []
-        self._capacity = 64
-        self._cols = [np.zeros(self._capacity, dtype=np.int64) for _ in range(nattrs)]
-        self._typed = [np.zeros(self._capacity, dtype=bool) for _ in range(nattrs)]
-        self._alive = np.zeros(self._capacity, dtype=bool)
-        self._slot_of: Dict[Row, int] = {}
-        self._size = 0
-
-    def __contains__(self, row: Row) -> bool:
-        return row in self._slot_of
-
-    def vid(self, value: Value) -> Optional[int]:
-        return self._intern.get(value)
-
-    def _intern_value(self, value: Value) -> int:
-        vid = self._intern.get(value)
-        if vid is None:
-            vid = len(self._values)
-            self._intern[value] = vid
-            self._values.append(value)
-        return vid
-
-    def _grow(self) -> None:
-        np = self._np
-        capacity = self._capacity * 2
-        size = self._size
-        for ai in range(self._nattrs):
-            col = np.zeros(capacity, dtype=np.int64)
-            col[:size] = self._cols[ai][:size]
-            self._cols[ai] = col
-            typed = np.zeros(capacity, dtype=bool)
-            typed[:size] = self._typed[ai][:size]
-            self._typed[ai] = typed
-        alive = np.zeros(capacity, dtype=bool)
-        alive[:size] = self._alive[:size]
-        self._alive = alive
-        self._capacity = capacity
-
-    def add_row(self, row: Row) -> None:
-        if row in self._slot_of:
-            return
-        if self._size == self._capacity:
-            self._grow()
-        slot = self._size
-        self._size = slot + 1
-        self._slot_of[row] = slot
-        self._alive[slot] = True
-        for ai, (_, value) in enumerate(row.items()):
-            self._cols[ai][slot] = self._intern_value(value)
-            if value.tag is not None:
-                self._typed[ai][slot] = True
-
-    def discard_row(self, row: Row) -> None:
-        slot = self._slot_of.pop(row, None)
-        if slot is not None:
-            self._alive[slot] = False
-
-    def candidates(self, constraints: Iterable[Tuple[int, int]]):
-        size = self._size
-        mask = None
-        for ai, vid in constraints:
-            compare = self._cols[ai][:size] == vid
-            mask = compare if mask is None else mask & compare
-        if mask is None:
-            return self._alive[:size].copy()
-        mask &= self._alive[:size]
-        return mask
-
-    def slots(self, mask) -> List[int]:
-        return self._np.flatnonzero(mask).tolist()
-
-    def mask_empty(self, mask) -> bool:
-        return not mask.any()
-
-    def cell(self, ai: int, slot: int) -> Value:
-        return self._values[int(self._cols[ai][slot])]
-
-    def restrict_tag(self, mask, ai: int, tagged: bool):
-        typed = self._typed[ai][: self._size]
-        return mask & typed if tagged else mask & ~typed
-
-    def any_rows(self, mask, groups: Tuple[Tuple[int, ...], ...]) -> bool:
-        size = self._size
-        for group in groups:
-            base = self._cols[group[0]][:size]
-            for aj in group[1:]:
-                mask = mask & (self._cols[aj][:size] == base)
-        return bool(mask.any())
+    return "bitset" if resolved == "auto" else None
 
 
 class _Plan:
@@ -393,6 +132,14 @@ def _seed_binding(
     return binding
 
 
+def _slots(mask: int) -> Iterator[int]:
+    """The row slots whose bits are set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class TriggerKernel:
     """Columnar mirror of one relation plus the batched matcher over it.
 
@@ -403,38 +150,84 @@ class TriggerKernel:
     incremental hot path), and re-check one trigger with :meth:`violates`.
     Emitted valuations are exactly those the classic ``extend_through``
     emits for the same relation.
+
+    Postings map ``(column, value id)`` to the mask of live rows carrying
+    that value, so a conjunctive constraint is an ``&`` chain over at most
+    arity-many ints; ``_typed[column]`` masks the rows whose cell in that
+    column is typed.
     """
 
-    def __init__(self, relation: Relation, backend: str) -> None:
+    def __init__(self, relation: Relation) -> None:
         nattrs = len(relation.universe.attributes)
-        if backend == "numpy":
-            np = _numpy()
-            if np is None:
-                raise KernelError(
-                    "numpy kernel backend requested but numpy is not importable"
-                )
-            self._store = _NumpyStore(nattrs, np)
-        elif backend == "bitset":
-            self._store = _BitsetStore(nattrs)
-        else:
-            raise KernelError(f"unknown kernel backend {backend!r}")
-        self.backend = backend
+        self._nattrs = nattrs
+        self._intern: Dict[Value, int] = {}
+        self._values: List[Value] = []
+        self._cols: List[List[int]] = [[] for _ in range(nattrs)]
+        self._typed: List[int] = [0] * nattrs
+        self._postings: Dict[Tuple[int, int], int] = {}
+        self._alive = 0
+        self._slot_of: Dict[Row, int] = {}
+        self._size = 0
         self._plans: Dict[object, _Plan] = {}
         for row in relation.rows:
-            self._store.add_row(row)
-
-    def __contains__(self, row: Row) -> bool:
-        return row in self._store
+            self._add_row(row)
 
     def apply_delta(self, delta: StepDelta) -> None:
         """Mirror one chase step; same discipline as ``RowIndex.apply_delta``."""
         if delta.is_noop:
             return
-        store = self._store
         for row in getattr(delta, "removed_rows", ()):
-            store.discard_row(row)
+            self._discard_row(row)
         for row in delta.changed_rows:
-            store.add_row(row)
+            self._add_row(row)
+
+    def _add_row(self, row: Row) -> None:
+        if row in self._slot_of:
+            return
+        slot = self._size
+        self._size = slot + 1
+        self._slot_of[row] = slot
+        bit = 1 << slot
+        self._alive |= bit
+        postings = self._postings
+        intern = self._intern
+        for ai, (_, value) in enumerate(row.items()):
+            vid = intern.get(value)
+            if vid is None:
+                vid = intern[value] = len(self._values)
+                self._values.append(value)
+            self._cols[ai].append(vid)
+            key = (ai, vid)
+            postings[key] = postings.get(key, 0) | bit
+            if value.tag is not None:
+                self._typed[ai] |= bit
+
+    def _discard_row(self, row: Row) -> None:
+        slot = self._slot_of.pop(row, None)
+        if slot is None:
+            return
+        bit = 1 << slot
+        self._alive &= ~bit
+        postings = self._postings
+        for ai in range(self._nattrs):
+            key = (ai, self._cols[ai][slot])
+            remaining = postings.get(key, 0) & ~bit
+            if remaining:
+                postings[key] = remaining
+            else:
+                postings.pop(key, None)
+            self._typed[ai] &= ~bit
+
+    def _candidates(self, constraints: Iterable[Tuple[int, int]]) -> int:
+        """The mask of live rows meeting every ``(column, value id)`` pair."""
+        mask = None
+        postings = self._postings
+        for key in constraints:
+            bucket = postings.get(key, 0)
+            mask = bucket if mask is None else mask & bucket
+            if not mask:
+                return 0
+        return self._alive if mask is None else mask
 
     def _plan(self, cd: CompiledDependency) -> _Plan:
         plan = self._plans.get(cd.dependency)
@@ -480,17 +273,17 @@ class TriggerKernel:
             if self._violates(cd, plan, binding):
                 emit(Valuation(dict(binding)))
             return
-        store = self._store
+        intern = self._intern
         items = rest[depth]
         constraints: List[Tuple[int, int]] = []
         for ai, value in items:
             image = binding.get(value)
             if image is not None:
-                vid = store.vid(image)
+                vid = intern.get(image)
                 if vid is None:
                     return
                 constraints.append((ai, vid))
-        for slot in store.slots(store.candidates(constraints)):
+        for slot in _slots(self._candidates(constraints)):
             added = self._assign(items, slot, binding)
             if added is None:
                 continue
@@ -505,10 +298,11 @@ class TriggerKernel:
         binding: Dict[Value, Value],
     ) -> Optional[List[Value]]:
         """Extend ``binding`` with the row at ``slot``; None on a clash."""
-        store = self._store
+        cols = self._cols
+        values = self._values
         added: List[Value] = []
         for ai, value in items:
-            cell = store.cell(ai, slot)
+            cell = values[cols[ai][slot]]
             image = binding.get(value)
             if image is None:
                 if value.tag != cell.tag:
@@ -538,7 +332,7 @@ class TriggerKernel:
     def _violates(
         self, cd: CompiledDependency, plan: _Plan, binding: Dict[Value, Value]
     ) -> bool:
-        """Vectorized ``violates``: no mirrored row witnesses the conclusion.
+        """Mask ``violates``: no mirrored row witnesses the conclusion.
 
         Bound conclusion cells intersect their postings (an unknown value
         id means no row can match), free cells keep only tag-compatible
@@ -549,18 +343,27 @@ class TriggerKernel:
         """
         if not cd.is_td:
             return binding[cd.left] != binding[cd.right]
-        store = self._store
+        intern = self._intern
         constraints: List[Tuple[int, int]] = []
         for ai, value in plan.concl_bound:
-            vid = store.vid(binding[value])
+            vid = intern.get(binding[value])
             if vid is None:
                 return True
             constraints.append((ai, vid))
-        mask = store.candidates(constraints)
-        if store.mask_empty(mask):
+        mask = self._candidates(constraints)
+        if not mask:
             return True
+        typed = self._typed
         for ai, tagged in plan.concl_free:
-            mask = store.restrict_tag(mask, ai, tagged)
-        if plan.concl_groups:
-            return not store.any_rows(mask, plan.concl_groups)
-        return store.mask_empty(mask)
+            mask = mask & typed[ai] if tagged else mask & ~typed[ai]
+        if not plan.concl_groups:
+            return not mask
+        cols = self._cols
+        for slot in _slots(mask):
+            if all(
+                cols[group[0]][slot] == cols[aj][slot]
+                for group in plan.concl_groups
+                for aj in group[1:]
+            ):
+                return False
+        return True

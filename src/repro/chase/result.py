@@ -65,9 +65,9 @@ class ChaseResult:
         Name of the scheduling strategy that produced the result
         (``"rescan"`` or ``"incremental"``; empty for hand-built results).
     kernel:
-        The columnar trigger-matching backend the run resolved to
-        (``"numpy"`` / ``"bitset"``), ``"off"`` for the classic matcher,
-        empty for hand-built results.
+        The trigger matcher the run resolved to: ``"bitset"`` for the
+        columnar kernel, ``"off"`` for the classic matcher, empty for
+        hand-built results.
     checkpoint:
         The resumable checkpoint token (the log segment's basename) when the
         run wrote a durable log and ended ``BUDGET_EXHAUSTED``; ``None``

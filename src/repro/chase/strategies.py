@@ -15,10 +15,10 @@ The implementations answer "which triggers?" very differently:
   the rewritten rows of a merge (egd step) are the only places a *new*
   homomorphism can appear, so only partial matches through those rows are
   extended, once per round at the barrier.  A round then costs work
-  proportional to what changed.  On a kernel backend each step also lands
-  on the kernel's column mirror as it applies, so the engine's per-step
-  re-validation is answered from the mirror with one mask computation
-  instead of a row-by-row scan of the tableau.
+  proportional to what changed.  On the columnar kernel each step also
+  lands on the kernel's column mirror as it applies, so the engine's
+  per-step re-validation is answered from the mirror with one mask
+  computation instead of a row-by-row scan of the tableau.
 
 Both strategies feed the same fair round loop and produce identical chase
 results; see ``tests/chase/test_differential.py`` for the property test and
@@ -152,16 +152,16 @@ class IncrementalStrategy:
     found in round ``r`` is handled before any trigger first found in round
     ``r + 1``.
 
-    ``kernel`` opts the matching itself onto the columnar kernel
-    (:mod:`repro.chase.kernel`): seeding and barrier extension then run as
-    batched posting-list / vectorized passes over a column mirror the
-    strategy owns, instead of dict-probing ``homomorphisms`` calls.
-    :meth:`observe` lands each step on the mirror as it applies (discovery
-    still waits for the barrier), so the mirror always holds the live
-    tableau and :meth:`trigger_is_active` answers the engine's per-step
-    re-validation with one mask computation.  Any
-    :data:`~repro.chase.kernel.KERNEL_MODES` value is accepted; the trigger
-    sets (and therefore the chase results) are byte-identical either way.
+    ``kernel`` picks the matcher.  On ``"auto"`` (the default) seeding and
+    barrier extension run as batched posting-list passes over a column
+    mirror the strategy owns (:mod:`repro.chase.kernel`), instead of
+    dict-probing ``homomorphisms`` calls.  :meth:`observe` lands each step
+    on the mirror as it applies (discovery still waits for the barrier),
+    so the mirror always holds the live tableau and
+    :meth:`trigger_is_active` answers the engine's per-step re-validation
+    with one mask computation.  ``"off"`` keeps the classic matcher; the
+    trigger sets (and therefore the chase results) are byte-identical
+    either way.
     """
 
     name = "incremental"
@@ -174,7 +174,7 @@ class IncrementalStrategy:
         self._queue: Optional[List[Trigger]] = None
         self._kernel_mode = kernel
         self._mirror: Optional[TriggerKernel] = None
-        #: The backend resolved for the current run: "numpy", "bitset", "off".
+        #: The matcher resolved for the current run: "bitset" or "off".
         self.kernel: str = "off"
 
     def start(
@@ -192,9 +192,7 @@ class IncrementalStrategy:
         # With the kernel the strategy owns its columnar mirror, and the
         # state's row index stays unbuilt until something else -- an egd
         # step's merge lookup -- needs it.
-        self._mirror = (
-            TriggerKernel(state.relation, backend) if backend is not None else None
-        )
+        self._mirror = TriggerKernel(state.relation) if backend is not None else None
         self._queue = self._seed()
 
     def next_round(self) -> List[Trigger]:

@@ -45,12 +45,16 @@ _RETIRED_STRATEGIES = {"streaming": "incremental", "sharded": "incremental"}
 
 ChaseStrategyName = Literal["rescan", "incremental", "auto"]
 
-#: The recognised columnar-kernel modes (see :mod:`repro.chase.kernel`).
-#: Configuration restricts itself to the policy choices; the concrete
-#: backend (numpy vs pure-Python bitset) is resolved at strategy start-up.
-CHASE_KERNELS = ("auto", "on", "off")
+#: The recognised trigger-matcher modes (see :mod:`repro.chase.kernel`):
+#: ``"auto"`` matches on the columnar kernel, ``"off"`` on the classic
+#: dict-probing matcher.
+CHASE_KERNELS = ("auto", "off")
 
-ChaseKernelMode = Literal["auto", "on", "off"]
+#: Retired kernel modes and the mode :meth:`ChaseBudget.from_dict` loads in
+#: their place.  ``"on"`` chose the columnar kernel, which ``"auto"`` runs.
+_RETIRED_KERNELS = {"on": "auto"}
+
+ChaseKernelMode = Literal["auto", "off"]
 
 
 #: The recognised checkpointing modes (see :mod:`repro.chase.checkpoint`).
@@ -61,9 +65,26 @@ CHECKPOINT_MODES = ("auto", "on", "off")
 CheckpointMode = Literal["auto", "on", "off"]
 
 #: Environment override for default-"auto" checkpoint configurations,
-#: mirroring ``REPRO_CHASE_KERNEL`` / ``REPRO_CACHE_MODE``: ``on`` / ``off``
-#: rewrite an "auto" mode.  Explicit settings always win.
+#: mirroring ``REPRO_CACHE_MODE``: ``on`` / ``off`` rewrite an "auto" mode.
+#: Explicit settings always win.
 CHECKPOINT_ENV = "REPRO_CHECKPOINT"
+
+
+def _check_int(name: str, value, minimum: int, *, optional: bool = False) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer >= ``minimum``.
+
+    Config documents are JSON, so a field can arrive as a string, a float
+    or a boolean.  ``bool`` subclasses ``int`` but is rejected: ``true`` in
+    a config file is a mistake, not the number 1.  ``optional`` also
+    admits ``None``.
+    """
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        expected = f"an integer >= {minimum}"
+        if optional:
+            expected = f"None or {expected}"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 def _check_checkpoint_mode(name: str) -> None:
@@ -83,9 +104,9 @@ class CheckpointConfig:
     mode:
         ``"on"`` writes a schema-versioned delta log for every chase run,
         ``"off"`` writes nothing, ``"auto"`` resolves to off unless the
-        ``REPRO_CHECKPOINT`` environment variable says otherwise (the
-        ``REPRO_CHASE_KERNEL`` precedent: only default-"auto" configs are
-        rewritten, explicit settings always win).
+        ``REPRO_CHECKPOINT`` environment variable says otherwise (as with
+        ``REPRO_CACHE_MODE``, only default-"auto" configs are rewritten;
+        explicit settings always win).
     interval:
         How many applied steps between periodic :class:`ChaseState`
         snapshots inside the log.  Snapshots bound replay cost on resume;
@@ -107,10 +128,8 @@ class CheckpointConfig:
 
     def __post_init__(self) -> None:
         _check_checkpoint_mode(self.mode)
-        if self.interval < 1:
-            raise ConfigError("a checkpoint config needs interval >= 1")
-        if self.retention < 1:
-            raise ConfigError("a checkpoint config needs retention >= 1")
+        _check_int("interval", self.interval, 1)
+        _check_int("retention", self.retention, 1)
 
     def resolved_mode(self) -> str:
         """The concrete mode, honouring ``REPRO_CHECKPOINT`` for "auto"."""
@@ -182,12 +201,11 @@ class ChaseBudget:
         A retired strategy name is rejected here, and :meth:`from_dict`
         loads it as its replacement.
     chase_kernel:
-        Whether trigger matching runs on the columnar kernel
-        (:mod:`repro.chase.kernel`): ``"auto"`` (the pure-Python bitset
-        backend; the default), ``"on"`` (numpy backend when available,
-        bitset backend otherwise), or ``"off"`` (classic dict-probing
-        matcher).  Ignored by ``"rescan"``.  Every setting produces
-        byte-identical chase results.
+        Which matcher finds triggers: ``"auto"`` (the columnar kernel of
+        :mod:`repro.chase.kernel`; the default) or ``"off"`` (the classic
+        dict-probing matcher).  Ignored by ``"rescan"``.  Both produce
+        byte-identical chase results.  The retired ``"on"`` is rejected
+        here, and :meth:`from_dict` loads it as ``"auto"``.
     checkpoint:
         Durable chase-log policy (:class:`CheckpointConfig`): whether the
         engine appends a schema-versioned delta log that a budget-exhausted
@@ -213,10 +231,8 @@ class ChaseBudget:
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ConfigError("a chase budget needs max_steps >= 1")
-        if self.max_rows < 1:
-            raise ConfigError("a chase budget needs max_rows >= 1")
+        _check_int("max_steps", self.max_steps, 1)
+        _check_int("max_rows", self.max_rows, 1)
         _check_strategy(self.chase_strategy)
         _check_kernel(self.chase_kernel)
         if not isinstance(self.checkpoint, CheckpointConfig):
@@ -278,14 +294,16 @@ class ChaseBudget:
         older releases wrote with ``"streaming"`` or ``"sharded"`` --
         checkpoint-log headers, ``SolverConfig`` and ``ServiceConfig``
         documents -- load as ``"incremental"``.  Their ``shard_count`` key,
-        which configured the sharded strategy's workers, is ignored.
+        which configured the sharded strategy's workers, is ignored.  The
+        retired kernel mode ``"on"`` loads as ``"auto"`` the same way.
         """
         strategy = payload.get("chase_strategy", "auto")
+        kernel = payload.get("chase_kernel", "auto")
         return cls(
             max_steps=payload.get("max_steps", 2000),
             max_rows=payload.get("max_rows", 5000),
             chase_strategy=_RETIRED_STRATEGIES.get(strategy, strategy),
-            chase_kernel=payload.get("chase_kernel", "auto"),
+            chase_kernel=_RETIRED_KERNELS.get(kernel, kernel),
             checkpoint=CheckpointConfig.from_dict(payload.get("checkpoint", {})),
         )
 
@@ -310,12 +328,9 @@ class FiniteSearchBudget:
     max_candidates: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_rows < 1:
-            raise ConfigError("a finite-search budget needs max_rows >= 1")
-        if self.domain_size < 1:
-            raise ConfigError("a finite-search budget needs domain_size >= 1")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ConfigError("max_candidates must be None or >= 1")
+        _check_int("max_rows", self.max_rows, 1)
+        _check_int("domain_size", self.domain_size, 1)
+        _check_int("max_candidates", self.max_candidates, 1, optional=True)
 
     def to_dict(self) -> dict:
         """A JSON-serializable snapshot (inverse of :meth:`from_dict`)."""
@@ -349,9 +364,9 @@ CACHE_STORES = ("auto", "memory", "shared", "off")
 
 CacheStoreKind = Literal["auto", "memory", "shared", "off"]
 
-#: Environment override for default-"auto" cache configurations, mirroring
-#: ``REPRO_CHASE_KERNEL``: ``syntactic`` / ``canonical`` rewrite an "auto"
-#: mode, ``off`` rewrites an "auto" store.  Explicit settings always win.
+#: Environment override for default-"auto" cache configurations:
+#: ``syntactic`` / ``canonical`` rewrite an "auto" mode, ``off`` rewrites an
+#: "auto" store.  Explicit settings always win.
 CACHE_MODE_ENV = "REPRO_CACHE_MODE"
 
 
@@ -405,8 +420,7 @@ class CacheConfig:
     def __post_init__(self) -> None:
         _check_cache_mode(self.mode)
         _check_cache_store(self.store)
-        if self.max_entries < 1:
-            raise ConfigError("a cache config needs max_entries >= 1")
+        _check_int("max_entries", self.max_entries, 1)
         if self.ttl is not None and self.ttl <= 0:
             raise ConfigError("a cache config needs ttl None or > 0")
 
@@ -414,8 +428,7 @@ class CacheConfig:
         """The concrete identity mode, honouring ``REPRO_CACHE_MODE``.
 
         Only default-"auto" configurations are rewritten by the
-        environment (the ``REPRO_CHASE_KERNEL`` precedent): explicitly
-        pinned modes always win.
+        environment: explicitly pinned modes always win.
         """
         if self.mode != "auto":
             return self.mode
@@ -502,9 +515,9 @@ class SolverConfig:
     ) -> "SolverConfig":
         """A copy pinning the chase scheduling strategy.
 
-        ``kernel`` pins the columnar trigger-matching kernel (``"auto"`` /
-        ``"on"`` / ``"off"``); ``None`` keeps the budget's current value.
-        An unknown strategy name raises :class:`ConfigError`, and so does a
+        ``kernel`` pins the trigger matcher (``"auto"`` / ``"off"``);
+        ``None`` keeps the budget's current value.  An unknown strategy
+        name or kernel mode raises :class:`ConfigError`, and so does a
         retired one: only :meth:`ChaseBudget.from_dict` upgrades those, for
         payloads written by older releases.
         """
@@ -666,32 +679,24 @@ class ServiceConfig:
     metrics_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.port <= 65535:
+        _check_int("port", self.port, 0)
+        if self.port > 65535:
             raise ConfigError("a service config needs a port in [0, 65535]")
         if self.batch_window < 0:
             raise ConfigError("a service config needs batch_window >= 0")
-        if self.max_batch_size < 1:
-            raise ConfigError("a service config needs max_batch_size >= 1")
-        if self.max_concurrent_batches < 1:
-            raise ConfigError("a service config needs max_concurrent_batches >= 1")
-        if self.per_client_in_flight < 1:
-            raise ConfigError("a service config needs per_client_in_flight >= 1")
+        _check_int("max_batch_size", self.max_batch_size, 1)
+        _check_int("max_concurrent_batches", self.max_concurrent_batches, 1)
+        _check_int("per_client_in_flight", self.per_client_in_flight, 1)
         if self.drain_timeout <= 0:
             raise ConfigError("a service config needs drain_timeout > 0")
-        if self.workers < 1:
-            raise ConfigError("a service config needs workers >= 1")
-        if not 0 <= self.worker_id:
-            raise ConfigError("a service config needs worker_id >= 0")
+        _check_int("workers", self.workers, 1)
+        _check_int("worker_id", self.worker_id, 0)
         if self.requests_per_second is not None and self.requests_per_second <= 0:
             raise ConfigError("requests_per_second must be None or > 0")
-        if self.burst is not None and self.burst < 1:
-            raise ConfigError("burst must be None or >= 1")
-        if self.default_deadline_ms is not None and self.default_deadline_ms < 1:
-            raise ConfigError("default_deadline_ms must be None or >= 1")
-        if self.access_log_max_bytes < 1024:
-            raise ConfigError("access_log_max_bytes must be >= 1024")
-        if self.access_log_backups < 1:
-            raise ConfigError("access_log_backups must be >= 1")
+        _check_int("burst", self.burst, 1, optional=True)
+        _check_int("default_deadline_ms", self.default_deadline_ms, 1, optional=True)
+        _check_int("access_log_max_bytes", self.access_log_max_bytes, 1024)
+        _check_int("access_log_backups", self.access_log_backups, 1)
 
     def resolved_burst(self) -> Optional[int]:
         """The rate limiter's bucket capacity (defaults to ceil(rate), min 1)."""

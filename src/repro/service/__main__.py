@@ -29,7 +29,7 @@ import json
 import signal
 import sys
 
-from repro.config import ServiceConfig
+from repro.config import ConfigError, ServiceConfig
 from repro.service.server import SolverService
 
 
@@ -122,7 +122,11 @@ def _parse(argv=None):
 
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            config = ServiceConfig.from_dict(json.load(handle))
+            payload = json.load(handle)
+        try:
+            config = ServiceConfig.from_dict(payload)
+        except ConfigError as exc:
+            parser.error(f"--config {args.config}: {exc}")
     else:
         config = ServiceConfig()
     overrides = {}

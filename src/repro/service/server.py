@@ -119,9 +119,9 @@ class SolverService:
             )
         self._solver = solver
         self._strategy = solver.config.chase.resolved_strategy()
-        # The trigger-matching backend this service's runs will use; rescan
-        # never consults the kernel, every other strategy resolves the
-        # configured mode (including the REPRO_CHASE_KERNEL override) once.
+        # The trigger matcher this service's runs will use; rescan never
+        # consults the kernel, every other strategy resolves the configured
+        # mode once.
         if self._strategy == "rescan":
             self._kernel = "off"
         else:

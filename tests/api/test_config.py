@@ -115,6 +115,73 @@ class TestRetiredSharded:
             make_strategy("incremental", shard_count=2)
 
 
+class TestRetiredKernelModes:
+    """The numpy kernel and its modes are retired: ``"on"`` in old payloads
+    loads as ``"auto"``, and naming ``"on"``, ``"numpy"`` or ``"bitset"`` in
+    code fails."""
+
+    def test_payloads_naming_on_load_as_auto(self):
+        from repro.config import ServiceConfig
+
+        budget = ChaseBudget.from_dict(
+            {**ChaseBudget().to_dict(), "chase_kernel": "on"}
+        )
+        assert budget == ChaseBudget(chase_kernel="auto")
+        payload = ServiceConfig(port=0).to_dict()
+        payload["solver"]["chase"]["chase_kernel"] = "on"
+        config = ServiceConfig.from_dict(payload)
+        assert config.solver.chase.chase_kernel == "auto"
+        assert config == ServiceConfig(port=0)
+
+    def test_naming_retired_modes_in_code_raises(self):
+        from repro.chase import IncrementalStrategy, KernelError, make_strategy
+
+        with pytest.raises(ConfigError, match="unknown chase kernel mode"):
+            ChaseBudget(chase_kernel="on")
+        with pytest.raises(ConfigError, match="unknown chase kernel mode"):
+            SolverConfig().with_strategy("incremental", kernel="on")
+        td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)
+        instance = Relation.typed(ABC, [["a", "b1", "c1"], ["a", "b2", "c2"]])
+        for strategy in (
+            make_strategy("incremental", kernel="numpy"),
+            IncrementalStrategy(kernel="bitset"),
+        ):
+            with pytest.raises(KernelError, match="unknown chase kernel mode"):
+                chase(instance, [td], strategy=strategy)
+
+
+class TestIntegerFields:
+    """Integer config fields reject strings, floats and booleans.
+
+    Config documents are JSON, so ``{"max_steps": "500"}`` must fail with
+    a :class:`ConfigError`, not a raw ``TypeError``, and ``true`` or
+    ``2.5`` must not load as a number.
+    """
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"solver": {"chase": {"max_steps": "500"}}},
+            {"solver": {"chase": {"max_steps": True}}},
+            {"solver": {"chase": {"max_rows": 2.5}}},
+            {"solver": {"chase": {"checkpoint": {"interval": True}}}},
+            {"solver": {"chase": {"checkpoint": {"retention": "3"}}}},
+            {"solver": {"finite_search": {"domain_size": True}}},
+            {"solver": {"finite_search": {"max_candidates": 1.0}}},
+            {"solver": {"cache": {"max_entries": "64"}}},
+            {"port": "0"},
+            {"workers": 2.5},
+            {"burst": True},
+            {"default_deadline_ms": "100"},
+        ],
+    )
+    def test_mistyped_values_raise_config_errors(self, document):
+        from repro.config import ServiceConfig
+
+        with pytest.raises(ConfigError, match="must be"):
+            ServiceConfig.from_dict(document)
+
+
 class TestChaseEngineBudgets:
     def test_budget_object(self):
         td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)

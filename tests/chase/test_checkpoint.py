@@ -470,6 +470,30 @@ class TestCommittedFixture:
             checkpoint=CheckpointConfig(mode="on", interval=2),
         )
 
+    def test_retired_on_kernel_log_resumes_as_auto(self, tmp_path):
+        """A header whose budget names the retired ``"on"`` kernel mode loads
+        as ``"auto"`` and resumes into exactly the straight 6-step run."""
+        with open(FIXTURE, encoding="utf-8") as handle:
+            text = handle.read()
+        assert text.count('"chase_kernel":"auto"') == 1
+        path = tmp_path / "checkpoint_on.jsonl"
+        path.write_text(
+            text.replace('"chase_kernel":"auto"', '"chase_kernel":"on"'),
+            encoding="utf-8",
+        )
+        point = load_checkpoint(str(path))
+        assert point.budget.chase_kernel == "auto"
+        instance, deps = _chain_case()
+        straight = chase(instance, deps, budget=ChaseBudget(max_steps=6), trace=True)
+        raised = replace(
+            point.budget,
+            max_steps=6,
+            checkpoint=replace(point.budget.checkpoint, directory=str(tmp_path)),
+        )
+        resumed = resume_chase(point, budget=raised)
+        assert resumed.kernel == "bitset"
+        _assert_resumed_matches(resumed, straight, "retired on-kernel log")
+
     @staticmethod
     def _assert_resumes_as_incremental(path, tmp_path):
         """Load a retired strategy's log, raise it to 6 steps, and require

@@ -1,11 +1,13 @@
-"""Differential tests: rescan vs incremental.
+"""Differential tests: rescan vs incremental, on both matchers.
 
 The incremental trigger index is only trustworthy if it is
 *indistinguishable* from the reference rescan scheduler.  These tests chase
 hundreds of randomized instances -- td/egd mixes, existential tds, untyped
-runaways, tight budgets -- under both strategies and require identical
-results: same final relation (fresh-value names included), same status,
-same canon map, same step count.  The engine makes this exact equality
+runaways, tight budgets -- three ways: rescan, incremental on the default
+columnar kernel, and incremental on the classic matcher
+(``chase_kernel="off"``).  All three must give identical results: same
+final relation (fresh-value names included), same status, same canon map,
+same step count.  The engine makes this exact equality
 achievable by canonicalizing and deterministically ordering each round's
 triggers for *every* strategy; any divergence here means the worklist
 dropped or invented a trigger.
@@ -16,6 +18,7 @@ fails loudly instead of passing vacuously.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -40,13 +43,21 @@ N_CASES = 225
 
 def _assert_equivalent(instance, deps, budget, label):
     rescan = chase(instance, deps, budget=budget, strategy="rescan")
-    incremental = chase(instance, deps, budget=budget, strategy="incremental")
     assert rescan.strategy == "rescan"
-    assert incremental.strategy == "incremental"
-    assert incremental.status == rescan.status, label
-    assert incremental.relation == rescan.relation, label
-    assert dict(incremental.canon) == dict(rescan.canon), label
-    assert incremental.steps == rescan.steps, label
+    for kernel, reported in (("auto", "bitset"), ("off", "off")):
+        incremental = chase(
+            instance,
+            deps,
+            budget=replace(budget, chase_kernel=kernel),
+            strategy="incremental",
+        )
+        leg = f"{label} kernel={kernel}"
+        assert incremental.strategy == "incremental", leg
+        assert incremental.kernel == reported, leg
+        assert incremental.status == rescan.status, leg
+        assert incremental.relation == rescan.relation, leg
+        assert dict(incremental.canon) == dict(rescan.canon), leg
+        assert incremental.steps == rescan.steps, leg
     return rescan
 
 

@@ -12,11 +12,11 @@ that equivalence at two levels:
   and the classic ``extend_through`` must in turn find exactly the active
   triggers whose body image contains the row (a reference built from the
   plain homomorphism enumeration of ``find_triggers``);
-* **chase level** -- full chase runs with the kernel forced on must be
-  byte-identical to kernel-off runs: same relation (fresh nulls included),
-  same status, canon map, and step count -- with numpy present AND absent
-  (the latter via ``sys.modules`` patching, which the kernel's fresh-import
-  discipline is designed for);
+* **chase level** -- full chase runs on the kernel must be byte-identical
+  to kernel-off runs: same relation (fresh nulls included), same status,
+  canon map, and step count -- and the default path must run with numpy
+  unimportable (``sys.modules`` patching), because the kernel is pure
+  Python;
 * **step level** -- every per-step re-validation the incremental strategy
   answers from its kernel mirror must equal the reference
   ``steps.trigger_is_active`` on the live state, and the default path must
@@ -37,12 +37,7 @@ import pytest
 import repro.chase.steps as steps_module
 from repro.chase import chase
 from repro.chase.engine import _valuation_key
-from repro.chase.kernel import (
-    KERNEL_ENV,
-    KernelError,
-    TriggerKernel,
-    resolve_kernel,
-)
+from repro.chase.kernel import KernelError, TriggerKernel, resolve_kernel
 from repro.chase.steps import compile_dependency, initial_state
 from repro.chase.steps import find_triggers as classic_find_triggers
 from repro.chase.strategies import (
@@ -58,22 +53,9 @@ from repro.model.relations import Relation
 from repro.model.tuples import Row
 from repro.model.values import untyped
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-#: Backends the trigger-level comparisons run against (numpy only when it
-#: imports; the bitset backend is the always-available reference).
-BACKENDS = ("bitset",) + (("numpy",) if HAVE_NUMPY else ())
-
-
-@pytest.fixture(autouse=True)
-def _no_kernel_env(monkeypatch):
-    """Keep the CI matrix's force-override out of these pinned comparisons."""
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
+#: The matcher name the default kernel mode reports, which parametrizes the
+#: kernel-side comparisons.
+BACKENDS = (resolve_kernel("auto"),)
 
 
 def _assert_same_result(actual, expected, label):
@@ -105,7 +87,7 @@ def _reference_extend_through(state, cd, row):
 def test_find_triggers_matches_classic(seed, backend, random_case):
     instance, deps, _ = random_case(seed)
     state = initial_state(instance)
-    kernel = TriggerKernel(state.relation, backend)
+    kernel = TriggerKernel(state.relation)
     found = 0
     for dep in deps:
         cd = compile_dependency(dep)
@@ -124,7 +106,7 @@ def test_find_triggers_matches_classic(seed, backend, random_case):
 def test_extend_through_matches_classic(seed, backend, random_case):
     instance, deps, _ = random_case(seed)
     state = initial_state(instance)
-    kernel = TriggerKernel(state.relation, backend)
+    kernel = TriggerKernel(state.relation)
     index = state.row_index.attr_buckets
     found = 0
     for dep in deps:
@@ -147,34 +129,22 @@ def test_extend_through_matches_classic(seed, backend, random_case):
 
 @pytest.mark.parametrize("seed", range(4000, 4100))
 def test_kernel_chase_is_byte_identical(seed, random_case):
-    """Kernel forced on vs off: identical tableaux, statuses, canon, steps."""
+    """Kernel on vs off: identical tableaux, statuses, canon, steps."""
     instance, deps, budget = random_case(seed)
     off = chase(instance, deps, budget=replace(budget, chase_kernel="off"))
-    on = chase(instance, deps, budget=replace(budget, chase_kernel="on"))
+    on = chase(instance, deps, budget=replace(budget, chase_kernel="auto"))
     assert off.kernel == "off"
-    assert on.kernel in ("numpy", "bitset")
+    assert on.kernel == "bitset"
     _assert_same_result(on, off, f"seed {seed}")
 
 
 @pytest.mark.parametrize("seed", range(4200, 4220))
 def test_bitset_backend_chase_is_byte_identical(seed, random_case):
-    """The pure-Python backend explicitly, even when numpy is installed."""
+    """The kernel through a strategy instance, which ignores the budget's mode."""
     instance, deps, budget = random_case(seed)
-    off = chase(instance, deps, budget=replace(budget, chase_kernel="off"))
-    strategy = IncrementalStrategy(kernel="bitset")
-    on = chase(instance, deps, budget=budget, strategy=strategy)
-    assert strategy.kernel == "bitset"
-    assert on.kernel == "bitset"
-    _assert_same_result(on, off, f"seed {seed}")
-
-
-@pytest.mark.parametrize("seed", range(4300, 4312))
-def test_kernel_without_numpy_falls_back_to_bitset(monkeypatch, seed, random_case):
-    """``sys.modules`` patching: kernel="on" must run (and match) without numpy."""
-    monkeypatch.setitem(sys.modules, "numpy", None)
-    instance, deps, budget = random_case(seed)
-    off = chase(instance, deps, budget=replace(budget, chase_kernel="off"))
-    strategy = IncrementalStrategy(kernel="on")
+    budget = replace(budget, chase_kernel="off")
+    off = chase(instance, deps, budget=budget)
+    strategy = IncrementalStrategy()
     on = chase(instance, deps, budget=budget, strategy=strategy)
     assert strategy.kernel == "bitset"
     assert on.kernel == "bitset"
@@ -186,6 +156,13 @@ def test_auto_without_numpy_is_bitset(monkeypatch, random_case):
     instance, deps, budget = random_case(4400)
     result = chase(instance, deps, budget=replace(budget, chase_kernel="auto"))
     assert result.kernel == "bitset"
+
+
+def test_kernel_environment_variable_is_ignored(monkeypatch, random_case):
+    """``REPRO_CHASE_KERNEL`` no longer overrides the default mode."""
+    monkeypatch.setenv("REPRO_CHASE_KERNEL", "off")
+    instance, deps, budget = random_case(4401)
+    assert chase(instance, deps, budget=budget).kernel == "bitset"
 
 
 # -- per-step re-validation ----------------------------------------------------
@@ -256,7 +233,7 @@ def test_kernel_revalidation_matches_reference_at_every_step(backend, random_cas
     cases += [_non_total_case(seed) for seed in range(8100, 8160)]
     cells: Counter = Counter()
     for instance, deps, budget in cases:
-        strategy = _CheckedStrategy(backend, cells)
+        strategy = _CheckedStrategy("auto", cells)
         chase(instance, deps, budget=budget, strategy=strategy)
         assert strategy.kernel == backend
     for kind in ("egd", "total td", "non-total td"):
@@ -270,7 +247,7 @@ def test_kernel_revalidation_matches_reference_at_every_step(backend, random_cas
 @pytest.mark.parametrize(
     "strategy, scans",
     [
-        (lambda: IncrementalStrategy(kernel="bitset"), False),
+        (lambda: IncrementalStrategy(), False),
         (lambda: IncrementalStrategy(kernel="off"), True),
         (lambda: "rescan", True),
     ],
@@ -316,60 +293,19 @@ class TestResolveKernel:
     def test_off_is_classic(self):
         assert resolve_kernel("off") is None
 
-    def test_bitset_always_available(self):
-        assert resolve_kernel("bitset") == "bitset"
-
-    def test_auto_and_on_resolution(self):
-        assert resolve_kernel("auto") == "bitset"
-        assert resolve_kernel(None) == "bitset"
-        assert resolve_kernel("on") == ("numpy" if HAVE_NUMPY else "bitset")
-
-    def test_auto_never_imports_numpy(self, monkeypatch):
-        import repro.chase.kernel as kernel_module
-
-        def refuse():
-            raise AssertionError("auto resolution imported numpy")
-
-        monkeypatch.setattr(kernel_module, "_numpy", refuse)
-        assert resolve_kernel("auto") == "bitset"
-
-    def test_on_without_numpy_is_bitset(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        assert resolve_kernel("on") == "bitset"
-
     def test_auto_without_numpy_is_bitset(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert resolve_kernel("auto") == "bitset"
         assert resolve_kernel(None) == "bitset"
 
-    def test_numpy_forced_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        with pytest.raises(KernelError):
-            resolve_kernel("numpy")
-
     def test_unknown_mode_raises(self):
         with pytest.raises(KernelError):
             resolve_kernel("turbo")
 
-    def test_env_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "bitset")
-        assert resolve_kernel("auto") == "bitset"
-        assert resolve_kernel(None) == "bitset"
-        monkeypatch.setenv(KERNEL_ENV, "on")
-        assert resolve_kernel("auto") == ("numpy" if HAVE_NUMPY else "bitset")
-        monkeypatch.setenv(KERNEL_ENV, "off")
-        assert resolve_kernel("auto") is None
-
-    def test_env_never_overrides_explicit_pins(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "bitset")
-        assert resolve_kernel("off") is None
-        monkeypatch.setenv(KERNEL_ENV, "off")
-        assert resolve_kernel("bitset") == "bitset"
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "turbo")
+    @pytest.mark.parametrize("mode", ["on", "numpy", "bitset"])
+    def test_retired_modes_raise(self, mode):
         with pytest.raises(KernelError):
-            resolve_kernel("auto")
+            resolve_kernel(mode)
 
 
 class TestConfigPlumbing:
@@ -378,7 +314,7 @@ class TestConfigPlumbing:
             ChaseBudget(chase_kernel="numpy")
 
     def test_budget_round_trips_kernel(self):
-        budget = ChaseBudget(chase_kernel="on")
+        budget = ChaseBudget(chase_kernel="off")
         assert ChaseBudget.from_dict(budget.to_dict()) == budget
         assert ChaseBudget.from_dict({}).chase_kernel == "auto"
 

@@ -137,3 +137,11 @@ class TestCli:
     def test_invalid_flag_values_raise_config_errors(self):
         with pytest.raises(ConfigError):
             build_config(["--per-client-cap", "0"])
+
+    def test_mistyped_config_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps({"port": "0"}))
+        with pytest.raises(SystemExit) as excinfo:
+            build_config(["--config", str(path)])
+        assert excinfo.value.code == 2
+        assert "port must be an integer" in capsys.readouterr().err

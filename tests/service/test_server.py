@@ -123,7 +123,7 @@ class TestEndpoints:
         assert metrics["coalescer"]["submitted"] >= 1
         assert metrics["fairness"]["cap"] >= 1
         assert metrics["service"]["draining"] is False
-        assert metrics["service"]["kernel"] in ("numpy", "bitset", "off")
+        assert metrics["service"]["kernel"] in ("bitset", "off")
 
     def test_metrics_expose_the_outcome_store(self, live):
         _, client = live
@@ -158,7 +158,7 @@ class TestEndpoints:
         rounds = metrics["metrics"]["chase_rounds"]
         assert rounds["children"]
         assert all(
-            child["labels"]["kernel"] in ("numpy", "bitset", "off")
+            child["labels"]["kernel"] in ("bitset", "off")
             for child in rounds["children"]
         )
 
