@@ -32,11 +32,6 @@ Quickstart::
     print(outcome.to_dict())
 """
 
-from repro.api.async_batch import (
-    DEFAULT_MAX_IN_FLIGHT,
-    AsyncSolver,
-    AsyncSolverError,
-)
 from repro.api.batch import BatchRunStats, BatchStats, solve_problems
 from repro.api.dsl import (
     DSLError,
@@ -75,6 +70,22 @@ from repro.model.canon import (
     syntactic_key,
 )
 from repro.implication.problem import ImplicationOutcome, ImplicationProblem, Verdict
+
+#: Names resolved on first access: the asyncio front-end imports asyncio
+#: (and with it ssl), which no synchronous solve needs.
+_ASYNC_NAMES = ("AsyncSolver", "AsyncSolverError", "DEFAULT_MAX_IN_FLIGHT")
+
+
+def __getattr__(name: str):
+    if name in _ASYNC_NAMES:
+        from repro.api import async_batch
+
+        return getattr(async_batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ASYNC_NAMES))
 
 __all__ = [
     "Solver",

@@ -41,7 +41,7 @@ from repro.dependencies.fd import FunctionalDependency
 from repro.dependencies.mvd import MultivaluedDependency
 from repro.dependencies.pjd import JoinDependency, ProjectedJoinDependency
 from repro.dependencies.td import TemplateDependency
-from repro.model.attributes import Attribute, Universe
+from repro.model.attributes import Attribute, Universe, as_attribute
 from repro.model.relations import Relation
 from repro.model.tuples import Row
 from repro.model.values import Value
@@ -79,7 +79,7 @@ def parse_attribute_set(text: str) -> list[Attribute]:
         found = _ATTR_RE.findall(piece)
         if "".join(found) != piece:
             raise DSLError(f"cannot parse attribute set {text!r} (near {piece!r})")
-        attrs.extend(Attribute(name) for name in found)
+        attrs.extend(as_attribute(name) for name in found)
     return attrs
 
 

@@ -87,6 +87,8 @@ class Solver:
                 store if store is not None else build_store(self._config.cache)
             )
         self._identity_context = self._build_identity_context()
+        # One key per solver for the identity memo on each problem.
+        self._identity_slot = (self._cache_mode, self._identity_context)
         self._stats = BatchStats()
         self._engine = ImplicationEngine(
             universe=universe,
@@ -171,13 +173,12 @@ class Solver:
         if cache is None:
             cache = {}
             object.__setattr__(problem, "_identity_cache", cache)
-        slot = (self._cache_mode, self._identity_context)
-        identity = cache.get(slot)
+        identity = cache.get(self._identity_slot)
         if identity is None:
             identity = identity_of(
                 problem, mode=self._cache_mode, context=self._identity_context
             )
-            cache[slot] = identity
+            cache[self._identity_slot] = identity
         return identity
 
     def _coerce_identity(self, key) -> ProblemIdentity:

@@ -304,7 +304,11 @@ class FileOutcomeStore(OutcomeStore):
                             return None
                     with open(target, "rb") as handle:
                         fingerprint, outcome = pickle.load(handle)
-                except (OSError, pickle.PickleError, EOFError, ValueError):
+                except Exception:
+                    # Unpickling runs arbitrary constructors, so a corrupt
+                    # entry, or one an older release wrote in another object
+                    # layout, can raise anything (an older Row raises
+                    # AttributeError).  It is a miss; the next put rewrites it.
                     self._stats.misses += 1
                     return None
                 canonical = fingerprint != identity.fingerprint

@@ -171,6 +171,14 @@ class ChaseEngine:
             cd.dependency: (position, cd)
             for position, cd in enumerate(self._compiled)
         }
+        # The same entries keyed by object identity, tried first: strategies
+        # emit triggers carrying ``cd.dependency`` itself, and hashing a
+        # dependency hashes its whole body.  ``_compiled`` keeps the objects
+        # alive, so their ids cannot be reused.
+        self._positions_by_id = {
+            id(cd.dependency): self._positions[cd.dependency]
+            for cd in self._compiled
+        }
 
     @property
     def dependencies(self) -> tuple[ChaseDependency, ...]:
@@ -361,7 +369,7 @@ class ChaseEngine:
         """
         is_active = getattr(strategy, "trigger_is_active", None) or trigger_is_active
         for position, trigger in enumerate(round_triggers):
-            _, compiled = self._positions[trigger.dependency]
+            _, compiled = self._position(trigger.dependency)
             alpha = is_active(state, trigger, compiled)
             if alpha is None:
                 continue
@@ -404,6 +412,13 @@ class ChaseEngine:
 
     # -- helpers ---------------------------------------------------------------
 
+    def _position(
+        self, dependency: ChaseDependency
+    ) -> Tuple[int, CompiledDependency]:
+        """The position and compiled form of one of this engine's dependencies."""
+        found = self._positions_by_id.get(id(dependency))
+        return found if found is not None else self._positions[dependency]
+
     def _fair_order(
         self, state: ChaseState, triggers: Iterable[Trigger]
     ) -> List[Trigger]:
@@ -419,7 +434,7 @@ class ChaseEngine:
         seen = set()
         for trigger in triggers:
             alpha = state.canonicalize(trigger.valuation)
-            position, _ = self._positions[trigger.dependency]
+            position, _ = self._position(trigger.dependency)
             key = (position, _valuation_key(alpha))
             if key in seen:
                 continue

@@ -104,11 +104,15 @@ class ChaseResult:
         Used by the implication procedures to test whether a td conclusion
         embeds into the chase result.
         """
+        scheme = pattern.scheme
         for row in self.relation:
             compatible = True
             bindings = dict(fixed)
-            for attr, value in pattern.items():
-                image = row[attr]
+            if row.scheme == scheme:
+                images = iter(row)
+            else:
+                images = (row[attr] for attr in scheme)
+            for value, image in zip(pattern, images):
                 if value in bindings:
                     if bindings[value] != image:
                         compatible = False

@@ -46,10 +46,9 @@ class RowIndex:
     the rows it touches, never to the tableau size.
     """
 
-    __slots__ = ("_attributes", "_attr_buckets", "_value_buckets")
+    __slots__ = ("_attr_buckets", "_value_buckets")
 
     def __init__(self, relation: Relation) -> None:
-        self._attributes: Tuple[Attribute, ...] = relation.universe.attributes
         self._attr_buckets: Dict[Tuple[Attribute, Value], Dict[Row, None]] = {}
         self._value_buckets: Dict[Value, Dict[Row, None]] = {}
         for row in relation.rows:
@@ -73,22 +72,21 @@ class RowIndex:
         """Index one row (idempotent: re-adding an indexed row is a no-op)."""
         attr_buckets = self._attr_buckets
         value_buckets = self._value_buckets
-        for attr in self._attributes:
-            value = row[attr]
-            attr_buckets.setdefault((attr, value), {})[row] = None
-            value_buckets.setdefault(value, {})[row] = None
+        for cell in zip(row.scheme, row):
+            attr_buckets.setdefault(cell, {})[row] = None
+            value_buckets.setdefault(cell[1], {})[row] = None
 
     def discard_row(self, row: Row) -> None:
         """Evict one row from every bucket it occupies (O(columns))."""
         attr_buckets = self._attr_buckets
         value_buckets = self._value_buckets
-        for attr in self._attributes:
-            value = row[attr]
-            bucket = attr_buckets.get((attr, value))
+        for cell in zip(row.scheme, row):
+            value = cell[1]
+            bucket = attr_buckets.get(cell)
             if bucket is not None:
                 bucket.pop(row, None)
                 if not bucket:
-                    del attr_buckets[(attr, value)]
+                    del attr_buckets[cell]
             vbucket = value_buckets.get(value)
             if vbucket is not None:
                 vbucket.pop(row, None)

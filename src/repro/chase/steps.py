@@ -32,6 +32,23 @@ from repro.util.fresh import FreshSupply
 
 ChaseDependency = Union[TemplateDependency, EqualityGeneratingDependency]
 
+#: Fresh values by ``(name, tag)``.  Every chase counts through the same
+#: fresh names, so the tableaux that outcome caches keep share one value
+#: per name instead of holding a copy each.  Bounded (cleared when full);
+#: values compare by content, so sharing only saves memory.
+_FRESH_VALUES: Dict[Tuple[str, Optional[str]], Value] = {}
+_FRESH_VALUES_LIMIT = 1 << 14
+
+
+def _fresh_value(name: str, tag: Optional[str]) -> Value:
+    key = (name, tag)
+    value = _FRESH_VALUES.get(key)
+    if value is None:
+        if len(_FRESH_VALUES) >= _FRESH_VALUES_LIMIT:
+            _FRESH_VALUES.clear()
+        value = _FRESH_VALUES[key] = Value(name, tag)
+    return value
+
 
 @dataclass(frozen=True)
 class TdDelta:
@@ -329,15 +346,18 @@ def apply_td_step(
     if body_values is None:
         body_values = dependency.body.values()
     fresh_for: Dict[Value, Value] = {}
-    cells: Dict = {}
-    for attr, value in dependency.conclusion.items():
+    cells = []
+    conclusion = dependency.conclusion
+    for value in conclusion:
         if value in body_values:
-            cells[attr] = alpha(value)
+            cells.append(alpha(value))
         else:
             if value not in fresh_for:
-                fresh_for[value] = Value(state.fresh.next(), value.tag)
-            cells[attr] = fresh_for[value]
-    new_row = Row(cells)
+                fresh_for[value] = _fresh_value(state.fresh.next(), value.tag)
+            cells.append(fresh_for[value])
+    # alpha respects typing and fresh values copy their tag, so the image
+    # is valid for the conclusion's scheme.
+    new_row = Row._trusted(conclusion.scheme, tuple(cells))
     delta = TdDelta(row=new_row)
     state.advance(state.relation.with_rows([new_row]), delta)
     return delta
@@ -377,8 +397,9 @@ def apply_egd_step(
             replaced, index=state.row_index.value_buckets
         )
     )
+    # kept and replaced share a domain, so each image stays valid.
     changed = frozenset(
-        Row({attr: substitute(value) for attr, value in row.items()})
+        Row._trusted(row.scheme, tuple(substitute(value) for value in row))
         for row in removed
     )
     delta = EgdDelta(

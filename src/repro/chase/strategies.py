@@ -254,25 +254,33 @@ class IncrementalStrategy:
         rows.  Only the current relation hosts witnesses, so every delta
         passed here must already have gone through :meth:`observe`.
         """
-        visited: Set[Row] = set()
+        visited: Set[object] = set()
         out: List[Trigger] = []
         mirror = self._mirror
-        relation = self._state.relation
-        index = None if mirror is not None else self._state.row_index.attr_buckets
         emitters = [
             (cd, partial(self._emit, position, cd.dependency, out=out))
             for position, cd in self._members
         ]
+        if mirror is not None:
+            # Rows are tracked by their id tuples, which the mirror also
+            # uses to tell whether a row is still live.
+            for delta in deltas:
+                for row in delta.changed_rows:
+                    ids = mirror.live_ids(row)
+                    if ids is None or ids in visited:
+                        continue
+                    visited.add(ids)
+                    mirror.extend_ids(ids, emitters)
+            return out
+        relation = self._state.relation
+        index = self._state.row_index.attr_buckets
         for delta in deltas:
             for row in delta.changed_rows:
                 if row in visited or row not in relation:
                     continue
                 visited.add(row)
                 for cd, emit in emitters:
-                    if mirror is not None:
-                        mirror.extend_through(cd, row, emit)
-                    else:
-                        extend_through(cd, row, relation, index, emit)
+                    extend_through(cd, row, relation, index, emit)
         return out
 
     def _emit(

@@ -87,6 +87,39 @@ def _check_int(name: str, value, minimum: int, *, optional: bool = False) -> Non
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
+def _check_float(
+    name: str,
+    value,
+    minimum: float,
+    *,
+    inclusive: bool = True,
+    optional: bool = False,
+) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a number >= ``minimum``.
+
+    With ``inclusive=False`` the bound is strict (> ``minimum``).  Integers
+    count as numbers; booleans, strings and NaN do not.  ``optional`` also
+    admits ``None``.
+    """
+    if optional and value is None:
+        return
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not (value >= minimum if inclusive else value > minimum):
+        expected = f"a number {'>=' if inclusive else '>'} {minimum}"
+        if optional:
+            expected = f"None or {expected}"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is ``True`` or ``False``.
+
+    A JSON string such as ``"no"`` is truthy, so it must not load as a flag.
+    """
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
 def _check_checkpoint_mode(name: str) -> None:
     if name not in CHECKPOINT_MODES:
         raise ConfigError(
@@ -421,8 +454,7 @@ class CacheConfig:
         _check_cache_mode(self.mode)
         _check_cache_store(self.store)
         _check_int("max_entries", self.max_entries, 1)
-        if self.ttl is not None and self.ttl <= 0:
-            raise ConfigError("a cache config needs ttl None or > 0")
+        _check_float("ttl", self.ttl, 0, inclusive=False, optional=True)
 
     def resolved_mode(self) -> str:
         """The concrete identity mode, honouring ``REPRO_CACHE_MODE``.
@@ -489,6 +521,9 @@ class SolverConfig:
     finite_search: FiniteSearchBudget = FiniteSearchBudget()
     trace: bool = False
     cache: CacheConfig = CacheConfig()
+
+    def __post_init__(self) -> None:
+        _check_bool("trace", self.trace)
 
     def with_chase(self, **kwargs) -> "SolverConfig":
         """A copy with the chase budget's fields replaced."""
@@ -682,17 +717,20 @@ class ServiceConfig:
         _check_int("port", self.port, 0)
         if self.port > 65535:
             raise ConfigError("a service config needs a port in [0, 65535]")
-        if self.batch_window < 0:
-            raise ConfigError("a service config needs batch_window >= 0")
+        _check_float("batch_window", self.batch_window, 0)
         _check_int("max_batch_size", self.max_batch_size, 1)
         _check_int("max_concurrent_batches", self.max_concurrent_batches, 1)
         _check_int("per_client_in_flight", self.per_client_in_flight, 1)
-        if self.drain_timeout <= 0:
-            raise ConfigError("a service config needs drain_timeout > 0")
+        _check_float("drain_timeout", self.drain_timeout, 0, inclusive=False)
         _check_int("workers", self.workers, 1)
         _check_int("worker_id", self.worker_id, 0)
-        if self.requests_per_second is not None and self.requests_per_second <= 0:
-            raise ConfigError("requests_per_second must be None or > 0")
+        _check_float(
+            "requests_per_second",
+            self.requests_per_second,
+            0,
+            inclusive=False,
+            optional=True,
+        )
         _check_int("burst", self.burst, 1, optional=True)
         _check_int("default_deadline_ms", self.default_deadline_ms, 1, optional=True)
         _check_int("access_log_max_bytes", self.access_log_max_bytes, 1024)

@@ -15,7 +15,13 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.dependencies.base import Dependency
-from repro.model.attributes import Attribute, AttributeLike, Universe, as_attribute
+from repro.model.attributes import (
+    Attribute,
+    AttributeLike,
+    Universe,
+    as_attribute,
+    attribute_set,
+)
 from repro.model.relations import Relation
 from repro.util.errors import DependencyError
 
@@ -35,8 +41,8 @@ class FunctionalDependency(Dependency):
         dependent: Iterable[AttributeLike],
         name: Optional[str] = None,
     ) -> None:
-        self._determinant = frozenset(as_attribute(a) for a in determinant)
-        self._dependent = frozenset(as_attribute(a) for a in dependent)
+        self._determinant = attribute_set(determinant)
+        self._dependent = attribute_set(dependent)
         if not self._determinant:
             raise DependencyError("an fd needs a non-empty determinant")
         if not self._dependent:

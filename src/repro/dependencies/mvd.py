@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from repro.dependencies.base import Dependency
 from repro.dependencies.pjd import JoinDependency
-from repro.model.attributes import Attribute, AttributeLike, Universe, as_attribute
+from repro.model.attributes import Attribute, AttributeLike, Universe, attribute_set
 from repro.model.relations import Relation
 from repro.util.errors import DependencyError
 
@@ -34,8 +34,8 @@ class MultivaluedDependency(Dependency):
         dependent: Iterable[AttributeLike],
         name: Optional[str] = None,
     ) -> None:
-        self._determinant = frozenset(as_attribute(a) for a in determinant)
-        self._dependent = frozenset(as_attribute(a) for a in dependent)
+        self._determinant = attribute_set(determinant)
+        self._dependent = attribute_set(dependent)
         if not self._determinant and not self._dependent:
             raise DependencyError("an mvd needs at least one attribute")
         self._name = name

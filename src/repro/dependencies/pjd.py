@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from repro.dependencies.base import Dependency
-from repro.model.attributes import Attribute, AttributeLike, Universe, as_attribute
+from repro.model.attributes import Attribute, AttributeLike, Universe, attribute_set
 from repro.model.relations import Relation
 from repro.model.tuples import Row
 from repro.util.errors import DependencyError
@@ -78,7 +78,7 @@ class ProjectedJoinDependency(Dependency):
     ) -> None:
         comps: list[frozenset[Attribute]] = []
         for component in components:
-            attrs = frozenset(as_attribute(a) for a in component)
+            attrs = attribute_set(component)
             if not attrs:
                 raise DependencyError("a pjd component must be non-empty")
             if attrs in comps:
@@ -93,7 +93,7 @@ class ProjectedJoinDependency(Dependency):
         if projection is None:
             proj = joined
         else:
-            proj = frozenset(as_attribute(a) for a in projection)
+            proj = attribute_set(projection)
         if not proj <= joined:
             raise DependencyError(
                 "the projection set of a pjd must be covered by its components"

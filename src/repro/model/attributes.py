@@ -43,13 +43,42 @@ class Attribute:
         return Attribute(f"{self.name}_{index}")
 
 
+#: Attributes by name, so every parsed dependency and row shares one object
+#: per attribute name.  Bounded (cleared when full); attributes compare by
+#: name, so sharing only saves memory.
+_ATTRIBUTES: dict = {}
+_ATTRIBUTES_LIMIT = 4096
+
+
 def as_attribute(value: AttributeLike) -> Attribute:
     """Coerce a string or :class:`Attribute` to an :class:`Attribute`."""
     if isinstance(value, Attribute):
         return value
     if isinstance(value, str):
-        return Attribute(value)
+        attr = _ATTRIBUTES.get(value)
+        if attr is None:
+            if len(_ATTRIBUTES) >= _ATTRIBUTES_LIMIT:
+                _ATTRIBUTES.clear()
+            attr = _ATTRIBUTES[value] = Attribute(value)
+        return attr
     raise SchemaError(f"cannot interpret {value!r} as an attribute")
+
+
+#: Attribute sets by content, shared the same way: dependencies keep their
+#: attribute sets for life, and premises parsed again and again repeat the
+#: same few sets.  Bounded (cleared when full); sets compare by content.
+_ATTRIBUTE_SETS: dict = {}
+
+
+def attribute_set(attributes: Iterable[AttributeLike]) -> frozenset[Attribute]:
+    """The frozenset of ``attributes``, shared with every equal set built so far."""
+    attrs = frozenset(as_attribute(a) for a in attributes)
+    shared = _ATTRIBUTE_SETS.get(attrs)
+    if shared is None:
+        if len(_ATTRIBUTE_SETS) >= _ATTRIBUTES_LIMIT:
+            _ATTRIBUTE_SETS.clear()
+        shared = _ATTRIBUTE_SETS[attrs] = attrs
+    return shared
 
 
 class Universe:

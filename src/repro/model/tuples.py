@@ -23,15 +23,37 @@ def _coerce_value(value: Union[Value, str, int]) -> Value:
     return Value(str(value), None)
 
 
+#: Shared scheme tuples.  Every row over one attribute set holds the same
+#: scheme tuple instead of a copy of its own, so a row costs one values
+#: tuple plus one pointer.  The intern is bounded (cleared when full) and
+#: only saves memory: rows compare schemes by value, never by identity.
+_SCHEMES: dict = {}
+_SCHEME_LIMIT = 4096
+
+
+def _shared_scheme(attrs: tuple) -> tuple:
+    shared = _SCHEMES.get(attrs)
+    if shared is None:
+        if len(_SCHEMES) >= _SCHEME_LIMIT:
+            _SCHEMES.clear()
+        shared = _SCHEMES[attrs] = attrs
+    return shared
+
+
 class Row:
     """An immutable X-value: a mapping from attributes to domain values.
 
     Rows are hashable and compare by their attribute/value pairs, so a
     relation can store them in a set.  The attribute set of a row (its
     *scheme*) is fixed at construction.
+
+    A row stores its scheme (attributes sorted by name, shared with every
+    other row over the same attributes) and one tuple of values in the
+    same order.  It caches no hash: a cached hash would be pickled with
+    the row and go stale in a process with another string-hash seed.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_attrs", "_values")
 
     def __init__(self, mapping: RowMapping) -> None:
         pairs = []
@@ -47,8 +69,22 @@ class Row:
         if not pairs:
             raise SchemaError("a row must have at least one attribute")
         pairs.sort(key=lambda item: item[0].name)
-        self._items: tuple[tuple[Attribute, Value], ...] = tuple(pairs)
-        self._hash = hash(self._items)
+        self._attrs: tuple[Attribute, ...] = _shared_scheme(
+            tuple(attr for attr, _ in pairs)
+        )
+        self._values: tuple[Value, ...] = tuple(value for _, value in pairs)
+
+    @classmethod
+    def _trusted(cls, scheme: tuple, values: tuple) -> "Row":
+        """Internal constructor skipping validation.
+
+        Only for ``values`` already valid for ``scheme``, the scheme of an
+        existing row (a chase step's image of a row it already holds).
+        """
+        row = cls.__new__(cls)
+        row._attrs = scheme
+        row._values = values
+        return row
 
     # -- construction helpers -------------------------------------------------
 
@@ -99,22 +135,22 @@ class Row:
     @property
     def scheme(self) -> tuple[Attribute, ...]:
         """The attribute set of this X-value (sorted by attribute name)."""
-        return tuple(attr for attr, _ in self._items)
+        return self._attrs
 
     def __getitem__(self, attribute: AttributeLike) -> Value:
         attr = as_attribute(attribute)
-        for candidate, value in self._items:
-            if candidate == attr:
-                return value
-        raise SchemaError(f"row has no attribute {attr}")
+        try:
+            return self._values[self._attrs.index(attr)]
+        except ValueError:
+            raise SchemaError(f"row has no attribute {attr}") from None
 
     def get(self, attribute: AttributeLike) -> Value | None:
         """Like ``__getitem__`` but returning ``None`` for missing attributes."""
         attr = as_attribute(attribute)
-        for candidate, value in self._items:
-            if candidate == attr:
-                return value
-        return None
+        try:
+            return self._values[self._attrs.index(attr)]
+        except ValueError:
+            return None
 
     def restrict(self, attributes: Iterable[AttributeLike]) -> "Row":
         """The restriction ``w[Y]`` of this row to the attribute set ``Y``."""
@@ -124,19 +160,19 @@ class Row:
             raise SchemaError(
                 f"row has no attributes {sorted(a.name for a in missing)}"
             )
-        return Row({a: v for a, v in self._items if a in attrs})
+        return Row({a: v for a, v in zip(self._attrs, self._values) if a in attrs})
 
     def values(self) -> frozenset[Value]:
         """``VAL(w)``: the set of all values appearing in the row."""
-        return frozenset(v for _, v in self._items)
+        return frozenset(self._values)
 
     def items(self) -> tuple[tuple[Attribute, Value], ...]:
         """The (attribute, value) pairs of the row, sorted by attribute name."""
-        return self._items
+        return tuple(zip(self._attrs, self._values))
 
     def as_dict(self) -> dict[Attribute, Value]:
         """A plain dict copy of the row's mapping."""
-        return dict(self._items)
+        return dict(zip(self._attrs, self._values))
 
     def replace(self, updates: RowMapping) -> "Row":
         """A copy of this row with some attributes re-assigned."""
@@ -154,31 +190,34 @@ class Row:
 
     def is_typed(self) -> bool:
         """Whether every value in the row is typed and matches its column."""
-        return all(v.tag == a.name for a, v in self._items)
+        return all(v.tag == a.name for a, v in zip(self._attrs, self._values))
 
     def is_untyped(self) -> bool:
         """Whether every value in the row is untyped."""
-        return all(v.tag is None for _, v in self._items)
+        return all(v.tag is None for v in self._values)
 
     # -- dunder plumbing ------------------------------------------------------
 
     def __iter__(self) -> Iterator[Value]:
-        return (v for _, v in self._items)
+        """The row's values, in scheme order."""
+        return iter(self._values)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Row):
             return NotImplemented
-        return self._items == other._items
+        return self._values == other._values and self._attrs == other._attrs
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        cells = ", ".join(f"{a.name}={v.name}" for a, v in self._items)
+        cells = ", ".join(
+            f"{a.name}={v.name}" for a, v in zip(self._attrs, self._values)
+        )
         return f"Row({cells})"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(v.name for _, v in self._items) + ")"
+        return "(" + ", ".join(v.name for v in self._values) + ")"

@@ -147,19 +147,24 @@ def _check_typed_pair(source: Value, target: Value) -> None:
 
 def build_row_index(
     relation: Relation,
-) -> Dict[tuple[Attribute, Value], Dict[Row, None]]:
+) -> Dict[tuple[Attribute, Value], tuple[Row, ...]]:
     """The (attribute, value) -> rows index :func:`homomorphisms` prunes with.
 
-    Buckets are insertion-ordered dicts used as ordered sets, so callers that
-    maintain the index incrementally (the chase's delta-driven strategy) can
-    remove rewritten rows in O(1) while iteration order stays deterministic.
+    Buckets are tuples of rows in the relation's iteration order.  The index
+    describes one immutable relation (:func:`homomorphisms` caches it on
+    the relation), so it never changes, and tuples keep it a fraction of
+    the size of per-bucket sets.  The chase's incrementally maintained
+    buckets are :class:`~repro.chase.row_index.RowIndex`'s own.
     """
-    index: Dict[tuple[Attribute, Value], Dict[Row, None]] = {}
-    attrs = relation.universe.attributes
+    buckets: Dict[tuple[Attribute, Value], list[Row]] = {}
     for row in relation.rows:
-        for attr in attrs:
-            index.setdefault((attr, row[attr]), {})[row] = None
-    return index
+        for cell in zip(row.scheme, row):
+            bucket = buckets.get(cell)
+            if bucket is None:
+                buckets[cell] = [row]
+            else:
+                bucket.append(row)
+    return {cell: tuple(rows) for cell, rows in buckets.items()}
 
 
 def homomorphisms(
@@ -199,7 +204,18 @@ def homomorphisms(
     if source.universe != target.universe:
         raise TypingError("homomorphism search requires a common universe")
     source_rows = _order_rows_for_search(source)
-    attrs = list(source.universe.attributes)
+    # Every row of either relation lists its values in one order (the
+    # common universe sorted by name), so cells are read by position.
+    # Candidate probes still visit attributes in universe order.
+    attrs = source.universe.attributes
+    by_name = sorted(range(len(attrs)), key=lambda i: attrs[i].name)
+    position_of = [0] * len(attrs)
+    for position, i in enumerate(by_name):
+        position_of[i] = position
+    plan = []
+    for row in source_rows:
+        cells = tuple(row)
+        plan.append((cells, [(a, cells[p]) for a, p in zip(attrs, position_of)]))
 
     # Pre-index target rows per (attribute, value) for cheap candidate pruning.
     if index is None:
@@ -212,11 +228,10 @@ def homomorphisms(
     binding: Dict[Value, Value] = dict(seed.as_dict()) if seed is not None else {}
     count = 0
 
-    def candidates(row: Row):
-        """Target rows compatible with the current binding for ``row``."""
+    def candidates(probes):
+        """Target rows compatible with the current binding for one row."""
         best = None
-        for attr in attrs:
-            value = row[attr]
+        for attr, value in probes:
             bound = binding.get(value)
             if bound is None:
                 continue
@@ -236,12 +251,10 @@ def homomorphisms(
             return all_rows
         return best
 
-    def assign(row: Row, image: Row) -> Optional[list[Value]]:
+    def assign(cells: tuple, image: Row) -> Optional[list[Value]]:
         """Try binding row -> image; return newly bound values or None on clash."""
         added: list[Value] = []
-        for attr in attrs:
-            value = row[attr]
-            target_value = image[attr]
+        for value, target_value in zip(cells, image):
             bound = binding.get(value)
             if bound is None:
                 if value.tag != target_value.tag:
@@ -262,13 +275,13 @@ def homomorphisms(
         nonlocal count
         if limit is not None and count >= limit:
             return
-        if position == len(source_rows):
+        if position == len(plan):
             count += 1
             yield Valuation(dict(binding))
             return
-        row = source_rows[position]
-        for image in candidates(row):
-            added = assign(row, image)
+        cells, probes = plan[position]
+        for image in candidates(probes):
+            added = assign(cells, image)
             if added is None:
                 continue
             yield from search(position + 1)
@@ -299,11 +312,15 @@ def row_embeddings(
     of ``relation``.  Values of ``w`` already in ``VAL(I)`` (``body_values``)
     are fixed by ``base``; the remaining values are free, subject to typing.
     """
+    scheme = row.scheme
     for candidate in relation:
         bindings: dict[Value, Value] = {}
         feasible = True
-        for attr, value in row.items():
-            image = candidate[attr]
+        if candidate.scheme == scheme:
+            images = iter(candidate)
+        else:
+            images = (candidate[attr] for attr in scheme)
+        for value, image in zip(row, images):
             if value in body_values or base.defined_on(value):
                 if base.get(value) != image:
                     feasible = False

@@ -25,7 +25,7 @@ from repro.util.errors import TypingError
 ValueLike = Union["Value", str, int]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Value:
     """A single domain element.
 
@@ -41,6 +41,10 @@ class Value:
     element ``a^1 in DOM(A)`` and the untyped element ``a`` are different
     values even though they share a display name, exactly as in the paper's
     Section 3 translation.
+
+    Values are slotted (no per-instance ``__dict__``) and cache no hash:
+    the hash of a string depends on the process's hash seed, so a cached
+    one would go stale in any process that unpickles the value.
     """
 
     name: str
@@ -73,6 +77,22 @@ class Value:
 
     def __str__(self) -> str:
         return self.name
+
+    def __hash__(self) -> int:
+        # Equal values share a name, so the name alone is a valid hash, and
+        # it skips building a (name, tag) tuple on every dict probe.
+        return hash(self.name)
+
+    def __reduce__(self):
+        # A frozen slotted dataclass cannot be rebuilt through setattr, so
+        # pickle (and copy) rebuild it through the constructor.
+        return (Value, (self.name, self.tag))
+
+    def __setstate__(self, state) -> None:
+        # Only pickles of the older dict-backed layout get here (new ones
+        # rebuild through __reduce__); restore their fields by name.
+        object.__setattr__(self, "name", state["name"])
+        object.__setattr__(self, "tag", state.get("tag"))
 
 
 def untyped(name: ValueLike) -> Value:

@@ -121,8 +121,16 @@ def _parse(argv=None):
     args = parser.parse_args(argv)
 
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {args.config}: cannot read a JSON file: {exc}")
+        if not isinstance(payload, dict):
+            parser.error(
+                f"--config {args.config}: expected a JSON object, "
+                f"got {type(payload).__name__}"
+            )
         try:
             config = ServiceConfig.from_dict(payload)
         except ConfigError as exc:

@@ -182,6 +182,53 @@ class TestIntegerFields:
             ServiceConfig.from_dict(document)
 
 
+class TestNumberAndFlagFields:
+    """Float and boolean config fields reject mistyped JSON values."""
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"batch_window": "0.005"},
+            {"batch_window": True},
+            {"batch_window": -0.1},
+            {"drain_timeout": "30"},
+            {"drain_timeout": 0},
+            {"drain_timeout": float("nan")},
+            {"requests_per_second": "5"},
+            {"requests_per_second": False},
+            {"solver": {"cache": {"ttl": "60"}}},
+            {"solver": {"cache": {"ttl": 0}}},
+            {"solver": {"trace": "no"}},
+            {"solver": {"trace": 1}},
+        ],
+    )
+    def test_mistyped_values_raise_config_errors(self, document):
+        from repro.config import ServiceConfig
+
+        with pytest.raises(ConfigError, match="must be"):
+            ServiceConfig.from_dict(document)
+
+    def test_trace_string_is_rejected(self):
+        with pytest.raises(ConfigError, match="trace must be true or false"):
+            SolverConfig.from_dict({"trace": "no"})
+
+    def test_numbers_and_flags_still_load(self):
+        from repro.config import ServiceConfig
+
+        config = ServiceConfig.from_dict(
+            {
+                "batch_window": 0,
+                "drain_timeout": 2.5,
+                "requests_per_second": 10,
+                "solver": {"trace": True, "cache": {"ttl": 0.5}},
+            }
+        )
+        assert config.batch_window == 0
+        assert config.requests_per_second == 10
+        assert config.solver.trace is True
+        assert config.solver.cache.ttl == 0.5
+
+
 class TestChaseEngineBudgets:
     def test_budget_object(self):
         td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)

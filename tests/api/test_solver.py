@@ -1,6 +1,11 @@
 """The Solver facade: dispatch, DSL entry points, chase, serialization."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -137,3 +142,50 @@ class TestVerdictGuard:
         outcome = solver.implies(["A -> B"], "A ->> B")
         with pytest.raises(TypeError):
             bool(outcome.verdict)
+
+
+class TestImportCost:
+    """A synchronous solve never loads the asyncio front-end."""
+
+    def test_sync_solve_leaves_asyncio_unimported(self):
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.api
+            from repro.api import Solver
+
+            assert Solver(universe="ABC").implies(["A -> B"], "A ->> B").is_implied()
+            assert "asyncio" not in sys.modules, "asyncio was imported"
+            assert "repro.api.async_batch" not in sys.modules
+            print("ok")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[2] / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok"
+
+    def test_async_names_resolve_on_access(self):
+        import repro.api
+        from repro.api.async_batch import (
+            DEFAULT_MAX_IN_FLIGHT,
+            AsyncSolver,
+            AsyncSolverError,
+        )
+
+        assert repro.api.AsyncSolver is AsyncSolver
+        assert repro.api.AsyncSolverError is AsyncSolverError
+        assert repro.api.DEFAULT_MAX_IN_FLIGHT == DEFAULT_MAX_IN_FLIGHT
+        assert {"AsyncSolver", "AsyncSolverError", "DEFAULT_MAX_IN_FLIGHT"} <= set(
+            repro.api.__all__
+        )
+        assert "AsyncSolver" in dir(repro.api)
+        with pytest.raises(AttributeError):
+            repro.api.NoSuchName

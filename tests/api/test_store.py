@@ -1,6 +1,7 @@
 """Tests for the pluggable outcome stores and their configuration."""
 
 import os
+import pickle
 import threading
 
 import pytest
@@ -14,6 +15,22 @@ from repro.api.store import (
     build_store,
 )
 from repro.config import CACHE_MODE_ENV, CacheConfig, ConfigError, SolverConfig
+from repro.model.tuples import Row
+
+
+class _RaisesAttributeError:
+    """Pickles as a constructor call that raises ``AttributeError``."""
+
+    def __reduce__(self):
+        return (getattr, (0, "no_such_attribute"))
+
+
+class _OlderRowLayout:
+    """Pickles as a ``Row`` in the layout older releases wrote: a per-cell
+    ``_items`` tuple and a cached ``_hash`` restored into slots."""
+
+    def __reduce_ex__(self, protocol):
+        return (object.__new__, (Row,), (None, {"_items": (), "_hash": 0}))
 
 
 def ident(key, fingerprint=None, mode="syntactic"):
@@ -131,6 +148,20 @@ class TestFileOutcomeStore:
         (tmp_path / "s_k.pkl").write_bytes(b"not a pickle")
         assert store.get(ident("s:k")) is None
         assert store.stats.misses == 1
+
+    @pytest.mark.parametrize(
+        "payload", [_RaisesAttributeError(), _OlderRowLayout()], ids=["raises", "older_row"]
+    )
+    def test_entry_whose_load_raises_degrades_to_a_miss(self, tmp_path, payload):
+        """Any error from unpickling is a miss, and the next put rewrites it."""
+        store = FileOutcomeStore(str(tmp_path))
+        (tmp_path / "s_k.pkl").write_bytes(pickle.dumps(("s:k", payload)))
+        with pytest.raises(AttributeError):
+            pickle.loads((tmp_path / "s_k.pkl").read_bytes())
+        assert store.get(ident("s:k")) is None
+        assert store.stats.misses == 1
+        store.put(ident("s:k"), "outcome")
+        assert store.get(ident("s:k")).outcome == "outcome"
 
     def test_prune_bounds_the_directory(self, tmp_path):
         store = FileOutcomeStore(str(tmp_path), max_entries=3)

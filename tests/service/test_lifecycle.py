@@ -145,3 +145,44 @@ class TestCli:
             build_config(["--config", str(path)])
         assert excinfo.value.code == 2
         assert "port must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"batch_window": "0.005"}, "batch_window must be a number"),
+            ({"drain_timeout": "30"}, "drain_timeout must be a number"),
+            ({"requests_per_second": "5"}, "requests_per_second must be None or"),
+            ({"solver": {"cache": {"ttl": "60"}}}, "ttl must be None or"),
+            ({"solver": {"trace": "no"}}, "trace must be true or false"),
+        ],
+        ids=["batch_window", "drain_timeout", "requests_per_second", "ttl", "trace"],
+    )
+    def test_mistyped_config_file_values_are_usage_errors(
+        self, tmp_path, capsys, document, message
+    ):
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as excinfo:
+            build_config(["--config", str(path)])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read a JSON file"),
+            ("{not json", "cannot read a JSON file"),
+            ("[1, 2]", "expected a JSON object, got list"),
+        ],
+        ids=["missing", "invalid_json", "array"],
+    )
+    def test_unreadable_config_file_is_a_usage_error(
+        self, tmp_path, capsys, content, message
+    ):
+        path = tmp_path / "service.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            build_config(["--config", str(path)])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
