@@ -77,6 +77,7 @@ _ASYNC_NAMES = ("AsyncSolver", "AsyncSolverError", "DEFAULT_MAX_IN_FLIGHT")
 
 
 def __getattr__(name: str):
+    """Import the asyncio front-end on first access to one of its names."""
     if name in _ASYNC_NAMES:
         from repro.api import async_batch
 
@@ -85,6 +86,7 @@ def __getattr__(name: str):
 
 
 def __dir__():
+    """The module's names, the lazily imported ones included."""
     return sorted(set(globals()) | set(_ASYNC_NAMES))
 
 __all__ = [

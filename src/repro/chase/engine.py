@@ -10,8 +10,8 @@ is exhausted (``BUDGET_EXHAUSTED``).
 
 Re-validation goes through the strategy when it offers a
 ``trigger_is_active`` hook.  The incremental strategy on the columnar kernel
-does: it answers from its column mirror of the live tableau with one mask
-computation.  Everything else -- rescan, ``chase_kernel="off"``, custom
+does: it answers from its column mirror of the live tableau with one
+lookup or mask computation.  Everything else -- rescan, ``chase_kernel="off"``, custom
 strategies, and the restored tail of a resumed round -- uses
 :func:`~repro.chase.steps.trigger_is_active`, which scans the tableau for a
 witness row when the td's conclusion has existential values.
@@ -24,7 +24,7 @@ witness row when the td's conclusion has existential values.
 * ``"incremental"`` (the default, via ``"auto"``) maintains a per-dependency
   trigger worklist updated from step deltas, so a round costs work
   proportional to what changed instead of to the tableau size, and a step's
-  re-validation costs one kernel mask computation.
+  re-validation costs one kernel lookup or mask computation.
 
 Pick one with ``ChaseBudget(chase_strategy="rescan")`` (or the ``strategy``
 keyword of :class:`ChaseEngine` / :func:`chase`, which overrides the budget

@@ -151,7 +151,6 @@ class _Plan:
         "left",
         "right",
         "conclusion",
-        "concl_vars",
         "concl_bound",
         "concl_free",
         "concl_groups",
@@ -199,7 +198,6 @@ class _Plan:
                 self.conclusion = (
                     getter if len(bound) > 1 else lambda binding: (getter(binding),)
                 )
-        self.concl_vars = tuple(var for _, var in bound)
         self.concl_bound = tuple(bound)
         self.concl_free = tuple(free)
         self.concl_groups = tuple(
@@ -452,7 +450,7 @@ class TriggerKernel:
         plan = self._plan(cd)
         binding = [-1] * len(plan.values)
         intern = self._intern
-        for var in plan.concl_vars:
+        for _, var in plan.concl_bound:
             vid = intern.get(alpha(plan.values[var]))
             if vid is None:
                 # No mirrored row carries the value, so none witnesses.

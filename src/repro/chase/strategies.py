@@ -17,8 +17,8 @@ The implementations answer "which triggers?" very differently:
   extended, once per round at the barrier.  A round then costs work
   proportional to what changed.  On the columnar kernel each step also
   lands on the kernel's column mirror as it applies, so the engine's
-  per-step re-validation is answered from the mirror with one mask
-  computation instead of a row-by-row scan of the tableau.
+  per-step re-validation is answered from the mirror with one lookup or
+  mask computation instead of a row-by-row scan of the tableau.
 
 Both strategies feed the same fair round loop and produce identical chase
 results; see ``tests/chase/test_differential.py`` for the property test and
@@ -159,9 +159,9 @@ class IncrementalStrategy:
     on the mirror as it applies (discovery still waits for the barrier),
     so the mirror always holds the live tableau and
     :meth:`trigger_is_active` answers the engine's per-step re-validation
-    with one mask computation.  ``"off"`` keeps the classic matcher; the
-    trigger sets (and therefore the chase results) are byte-identical
-    either way.
+    with one lookup or mask computation.  ``"off"`` keeps the classic
+    matcher; the trigger sets (and therefore the chase results) are
+    byte-identical either way.
     """
 
     name = "incremental"

@@ -150,7 +150,9 @@ class TestFileOutcomeStore:
         assert store.stats.misses == 1
 
     @pytest.mark.parametrize(
-        "payload", [_RaisesAttributeError(), _OlderRowLayout()], ids=["raises", "older_row"]
+        "payload",
+        [_RaisesAttributeError(), _OlderRowLayout()],
+        ids=["raises", "older_row"],
     )
     def test_entry_whose_load_raises_degrades_to_a_miss(self, tmp_path, payload):
         """Any error from unpickling is a miss, and the next put rewrites it."""
