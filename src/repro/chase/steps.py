@@ -29,25 +29,14 @@ from repro.model.tuples import Row
 from repro.model.valuations import Valuation, homomorphisms, row_embeddings
 from repro.model.values import Value
 from repro.util.fresh import FreshSupply
+from repro.util.intern import intern
 
 ChaseDependency = Union[TemplateDependency, EqualityGeneratingDependency]
 
 #: Fresh values by ``(name, tag)``.  Every chase counts through the same
 #: fresh names, so the tableaux that outcome caches keep share one value
-#: per name instead of holding a copy each.  Bounded (cleared when full);
-#: values compare by content, so sharing only saves memory.
+#: per name instead of holding a copy each.
 _FRESH_VALUES: Dict[Tuple[str, Optional[str]], Value] = {}
-_FRESH_VALUES_LIMIT = 1 << 14
-
-
-def _fresh_value(name: str, tag: Optional[str]) -> Value:
-    key = (name, tag)
-    value = _FRESH_VALUES.get(key)
-    if value is None:
-        if len(_FRESH_VALUES) >= _FRESH_VALUES_LIMIT:
-            _FRESH_VALUES.clear()
-        value = _FRESH_VALUES[key] = Value(name, tag)
-    return value
 
 
 @dataclass(frozen=True)
@@ -353,7 +342,12 @@ def apply_td_step(
             cells.append(alpha(value))
         else:
             if value not in fresh_for:
-                fresh_for[value] = _fresh_value(state.fresh.next(), value.tag)
+                fresh_for[value] = intern(
+                    _FRESH_VALUES,
+                    (state.fresh.next(), value.tag),
+                    lambda key: Value(*key),
+                    limit=1 << 14,
+                )
             cells.append(fresh_for[value])
     # alpha respects typing and fresh values copy their tag, so the image
     # is valid for the conclusion's scheme.

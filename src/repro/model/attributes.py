@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from repro.util.errors import SchemaError
+from repro.util.intern import intern
 
 AttributeLike = Union["Attribute", str]
 
@@ -43,11 +44,11 @@ class Attribute:
         return Attribute(f"{self.name}_{index}")
 
 
-#: Attributes by name, so every parsed dependency and row shares one object
-#: per attribute name.  Bounded (cleared when full); attributes compare by
-#: name, so sharing only saves memory.
+#: Attributes by name and attribute sets by content: dependencies keep
+#: their attribute sets for life, and premises parsed again and again
+#: repeat the same few names and sets.
 _ATTRIBUTES: dict = {}
-_ATTRIBUTES_LIMIT = 4096
+_ATTRIBUTE_SETS: dict = {}
 
 
 def as_attribute(value: AttributeLike) -> Attribute:
@@ -55,30 +56,13 @@ def as_attribute(value: AttributeLike) -> Attribute:
     if isinstance(value, Attribute):
         return value
     if isinstance(value, str):
-        attr = _ATTRIBUTES.get(value)
-        if attr is None:
-            if len(_ATTRIBUTES) >= _ATTRIBUTES_LIMIT:
-                _ATTRIBUTES.clear()
-            attr = _ATTRIBUTES[value] = Attribute(value)
-        return attr
+        return intern(_ATTRIBUTES, value, Attribute)
     raise SchemaError(f"cannot interpret {value!r} as an attribute")
-
-
-#: Attribute sets by content, shared the same way: dependencies keep their
-#: attribute sets for life, and premises parsed again and again repeat the
-#: same few sets.  Bounded (cleared when full); sets compare by content.
-_ATTRIBUTE_SETS: dict = {}
 
 
 def attribute_set(attributes: Iterable[AttributeLike]) -> frozenset[Attribute]:
     """The frozenset of ``attributes``, shared with every equal set built so far."""
-    attrs = frozenset(as_attribute(a) for a in attributes)
-    shared = _ATTRIBUTE_SETS.get(attrs)
-    if shared is None:
-        if len(_ATTRIBUTE_SETS) >= _ATTRIBUTES_LIMIT:
-            _ATTRIBUTE_SETS.clear()
-        shared = _ATTRIBUTE_SETS[attrs] = attrs
-    return shared
+    return intern(_ATTRIBUTE_SETS, frozenset(as_attribute(a) for a in attributes))
 
 
 class Universe:

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Mapping, Union
 from repro.model.attributes import Attribute, AttributeLike, Universe, as_attribute
 from repro.model.values import Value, ValueLike, check_column_value, typed, untyped
 from repro.util.errors import SchemaError
+from repro.util.intern import intern
 
 RowMapping = Mapping[AttributeLike, Union[Value, str, int]]
 
@@ -23,21 +24,9 @@ def _coerce_value(value: Union[Value, str, int]) -> Value:
     return Value(str(value), None)
 
 
-#: Shared scheme tuples.  Every row over one attribute set holds the same
-#: scheme tuple instead of a copy of its own, so a row costs one values
-#: tuple plus one pointer.  The intern is bounded (cleared when full) and
-#: only saves memory: rows compare schemes by value, never by identity.
+#: Shared scheme tuples: every row over one attribute set holds the same
+#: scheme tuple, so a row costs one values tuple plus one pointer.
 _SCHEMES: dict = {}
-_SCHEME_LIMIT = 4096
-
-
-def _shared_scheme(attrs: tuple) -> tuple:
-    shared = _SCHEMES.get(attrs)
-    if shared is None:
-        if len(_SCHEMES) >= _SCHEME_LIMIT:
-            _SCHEMES.clear()
-        shared = _SCHEMES[attrs] = attrs
-    return shared
 
 
 class Row:
@@ -69,8 +58,8 @@ class Row:
         if not pairs:
             raise SchemaError("a row must have at least one attribute")
         pairs.sort(key=lambda item: item[0].name)
-        self._attrs: tuple[Attribute, ...] = _shared_scheme(
-            tuple(attr for attr, _ in pairs)
+        self._attrs: tuple[Attribute, ...] = intern(
+            _SCHEMES, tuple(attr for attr, _ in pairs)
         )
         self._values: tuple[Value, ...] = tuple(value for _, value in pairs)
 
