@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.model.attributes import Attribute, Universe, as_attribute, attribute_set_name
+from repro.model.attributes import (
+    Attribute,
+    Universe,
+    as_attribute,
+    attribute_set,
+    attribute_set_name,
+)
 from repro.util.errors import SchemaError
+from repro.util.intern import intern
 
 
 class TestAttribute:
@@ -104,3 +111,22 @@ class TestUniverse:
     def test_attribute_set_name(self):
         universe = Universe.from_names("ABC")
         assert attribute_set_name(universe.attributes) == "ABC"
+
+
+class TestSharing:
+    """Attributes and attribute sets are shared, but only by value."""
+
+    def test_names_and_sets_share_one_object(self):
+        assert as_attribute("A") is as_attribute("A")
+        assert attribute_set("AB") is attribute_set(["B", Attribute("A")])
+        assert attribute_set("AB") == frozenset({Attribute("A"), Attribute("B")})
+
+    def test_a_full_table_is_cleared_and_still_answers(self):
+        table = {}
+        first = intern(table, ("x", 1), lambda key: list(key), limit=2)
+        assert intern(table, ("x", 1), lambda key: [], limit=2) is first
+        intern(table, ("y", 2), limit=2)
+        intern(table, ("z", 3), limit=2)
+        assert len(table) == 1
+        again = intern(table, ("x", 1), lambda key: list(key), limit=2)
+        assert again == first and again is not first
