@@ -47,6 +47,14 @@ head-to-head:
   from its column mirror.  The bitset path must beat the classic matcher
   by >= 5x on the 192-link chain (CI gate), or the default path has
   started scanning again.
+* **mvd-trees** -- seeded implication problems over ``ABCDEF``: a tree of
+  four mvds over five of the attributes, sometimes with a two-component
+  jd, asked whether an mvd from the root or a jd follows.  Each problem
+  is solved cold through ``Solver.solve_many``, with and without the
+  durable delta log.  The deterministic column is round triggers per
+  applied step, read from the logs' round and step records: a round keeps
+  one trigger per conclusion, so it must stay <= 2.0 (CI gate; it read
+  8.1 when rounds listed every trigger).
 
 Every timing is the **median of ``REPEATS`` runs after one warmup run**, so
 the CI regression gates compare medians instead of single noisy
@@ -59,6 +67,8 @@ cross-PR tracking::
 """
 
 import json
+import os
+import random
 import shutil
 import statistics
 import string
@@ -67,9 +77,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from repro.api import Solver
 from repro.chase import chase
 from repro.chase.strategies import IncrementalStrategy
-from repro.config import ChaseBudget, CheckpointConfig
+from repro.config import ChaseBudget, CheckpointConfig, SolverConfig
 from repro.dependencies import (
     EqualityGeneratingDependency,
     MultivaluedDependency,
@@ -104,6 +115,9 @@ CHECKPOINT_GATE_SIZE = (192, 192)
 #: end-to-end benchmark's cold workload (the default 2,000-step budget).
 BUDGET_BOUND_SIZES = [CHECKPOINT_GATE_SIZE, (96, 2000)]
 SMOKE_CASCADE = 64
+#: Problems in the mvd-trees family, and the seed that draws them.
+MVD_TREE_PROBLEMS = 60
+MVD_TREE_SEED = 1982
 
 
 def successor_chain_workload(length: int):
@@ -194,6 +208,128 @@ def wide_workload(chains: int, length: int):
         for i in range(length):
             rows.append([f"c{c}v{i}", f"c{c}v{i + 1}", f"c{c}u{i}"])
     return Relation.untyped(ABC, rows), deps
+
+
+def _attributes(rng, pool, low, high):
+    return "".join(sorted(rng.sample(pool, rng.randint(low, high))))
+
+
+def _two_way_jd(rng, universe):
+    """``join[X, Y]`` with ``X`` and ``Y`` covering ``universe``, one shared."""
+    left = _attributes(rng, universe, 2, len(universe) - 1)
+    right = set(universe) - set(left) | {rng.choice(left)}
+    return f"join[{left}, {''.join(sorted(right))}]"
+
+
+def mvd_tree_problems(count=MVD_TREE_PROBLEMS, seed=MVD_TREE_SEED, universe="ABCDEF"):
+    """``count`` distinct ``(premises, conclusion)`` pairs in the DSL.
+
+    The premises are a tree of mvds: after a random root, each of four
+    more attributes hangs off an attribute (sometimes two) placed before
+    it; about a third of the problems add a jd.  The conclusion is an mvd
+    from the root or a jd.
+    """
+    rng = random.Random(seed)
+    problems, seen = [], set()
+    while len(problems) < count:
+        order = rng.sample(universe, len(universe))
+        premises = []
+        for i in range(1, 5):
+            lhs = {order[rng.randrange(i)]}
+            if i >= 2 and rng.random() < 0.25:
+                lhs.add(order[rng.randrange(i)])
+            premises.append(f"{''.join(sorted(lhs))} ->> {order[i]}")
+        if rng.random() < 0.3:
+            premises.append(_two_way_jd(rng, universe))
+        rng.shuffle(premises)
+        if rng.random() < 0.5:
+            rest = [a for a in universe if a != order[0]]
+            conclusion = f"{order[0]} ->> {_attributes(rng, rest, 1, 3)}"
+        else:
+            conclusion = _two_way_jd(rng, universe)
+        key = (tuple(premises), conclusion)
+        if key not in seen:
+            seen.add(key)
+            problems.append(key)
+    return problems
+
+
+def solve_cold(problems, config=None, universe="ABCDEF"):
+    """Solve every problem once on a fresh solver; the outcomes."""
+    solver = Solver(universe=universe, config=config)
+    return [
+        solver.solve_many([solver.problem(list(premises), conclusion)])[0]
+        for premises, conclusion in problems
+    ]
+
+
+def _logged(directory, runs):
+    # Retention above the run count keeps every log of a pass.
+    return SolverConfig().with_checkpoint("on", directory=directory, retention=runs)
+
+
+def count_round_triggers(problems):
+    """Solve ``problems`` once with the delta log on and read the logs.
+
+    Returns ``(outcomes, round triggers, applied steps, log bytes)``: every
+    round record lists the round's triggers, and every applied step writes
+    one step record.
+    """
+    directory = tempfile.mkdtemp(prefix="bench-mvd-trees-")
+    try:
+        outcomes = solve_cold(problems, _logged(directory, 100 * len(problems)))
+        triggers = steps = size = 0
+        for name in os.listdir(directory):
+            path = os.path.join(directory, name)
+            size += os.path.getsize(path)
+            with open(path, encoding="utf-8") as handle:
+                for line in handle:
+                    record = json.loads(line)
+                    if record["type"] == "round":
+                        triggers += len(record["triggers"])
+                    elif record["type"] == "step":
+                        steps += 1
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    return outcomes, triggers, steps, size
+
+
+def compare_mvd_trees(repeats=REPEATS):
+    """The mvd-trees family solved cold, plain and with the delta log.
+
+    Returns the median wall time of ``repeats`` passes per variant (the
+    counting pass and one plain pass warm both up), and from the counting
+    pass the round triggers, applied steps and log bytes.  Both variants
+    must return the same verdicts.
+    """
+    problems = mvd_tree_problems()
+    logged, triggers, steps, size = count_round_triggers(problems)
+    plain = solve_cold(problems)
+    assert [o.verdict for o in logged] == [o.verdict for o in plain]
+    directory = tempfile.mkdtemp(prefix="bench-mvd-trees-")
+    timings = {}
+    try:
+        config = _logged(directory, len(problems))
+        for label, variant in (("plain_s", None), ("checkpointed_s", config)):
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                solve_cold(problems, variant)
+                times.append(time.perf_counter() - start)
+            timings[label] = round(statistics.median(times), 6)
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    return {
+        "problems": len(problems),
+        "steps": steps,
+        "round_triggers": triggers,
+        "triggers_per_step": round(triggers / steps, 3),
+        "log_bytes_per_problem": size // len(problems),
+        **timings,
+        "checkpoint_overhead_pct": round(
+            (timings["checkpointed_s"] / timings["plain_s"] - 1.0) * 100, 2
+        ),
+    }
 
 
 def run_strategy(instance, dependencies, strategy, max_steps=200000, repeats=REPEATS):
@@ -531,6 +667,22 @@ def test_bitset_revalidation_5x_classic_on_budget_bound_chain():
     )
 
 
+def test_one_round_trigger_per_conclusion_on_mvd_trees():
+    """The round-size gate (CI): <= 2.0 round triggers per applied step.
+
+    Deterministic: counted from the round and step records of the delta
+    logs of one cold pass over the mvd-trees family.  A round keeps one
+    trigger per conclusion, so above 2.0 the engine is scheduling (and
+    re-validating, and logging) triggers that cannot fire again; with every
+    trigger listed the family reads 8.3.
+    """
+    _, triggers, steps, _ = count_round_triggers(mvd_tree_problems())
+    assert triggers / steps <= 2.0, (
+        f"{triggers} round triggers for {steps} applied steps "
+        f"({triggers / steps:.2f} per step) on the mvd-trees family"
+    )
+
+
 # -- script mode: full matrix + BENCH_chase.json ------------------------------
 
 
@@ -625,6 +777,13 @@ def full_matrix():
             "sizes": budget_rows,
         }
     )
+    results["workloads"].append(
+        {
+            "name": "mvd_trees",
+            "grows": "fixed family: cold solves with and without the delta log",
+            "sizes": [{"size": MVD_TREE_PROBLEMS, **compare_mvd_trees()}],
+        }
+    )
     return results
 
 
@@ -643,6 +802,20 @@ def main() -> None:
                     f"{row['plain_s'] * 1e3:>8.1f}ms "
                     f"{row['checkpointed_s'] * 1e3:>11.1f}ms "
                     f"{row['overhead_pct']:>8.1f}%"
+                )
+            continue
+        if workload["name"] == "mvd_trees":
+            print(
+                f"{'size':>6} {'steps':>6} {'trig/step':>10} "
+                f"{'plain':>10} {'checkpointed':>13} {'log/problem':>12}"
+            )
+            for row in workload["sizes"]:
+                print(
+                    f"{row['size']:>6} {row['steps']:>6} "
+                    f"{row['triggers_per_step']:>10.2f} "
+                    f"{row['plain_s'] * 1e3:>8.1f}ms "
+                    f"{row['checkpointed_s'] * 1e3:>11.1f}ms "
+                    f"{row['log_bytes_per_problem']:>11}B"
                 )
             continue
         if workload["name"] in ("kernel_wide", "budget_bound_chain"):

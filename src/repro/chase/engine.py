@@ -44,11 +44,21 @@ triggers provably coincide (a new homomorphism must route through a changed
 row, and satisfied dependencies stay satisfied as the tableau only
 grows/merges), so ordering them identically makes the applied step sequences
 -- and hence fresh-value names, merges, and final tableaux -- identical.
+
+**One trigger per conclusion.**  A round keeps only the first trigger, in
+that order, of each *group*: a td's position plus the images of its
+conclusion's body values, or an egd's position plus the images of its two
+sides.  Every trigger of a group adds the same row (fresh values aside) or
+merges the same pair, and whether it is active depends on its group alone.
+So once the group's first trigger has been applied, or found inactive,
+every later one is inactive too, and dropping them changes no step: the
+result is byte-identical, only the round's trigger list is shorter.
 """
 
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.chase.checkpoint import CheckpointWriter, ResumePoint, load_checkpoint
@@ -422,26 +432,36 @@ class ChaseEngine:
     def _fair_order(
         self, state: ChaseState, triggers: Iterable[Trigger]
     ) -> List[Trigger]:
-        """Canonicalize, deduplicate, and deterministically order one round.
+        """Canonicalize, keep one trigger per conclusion, and order one round.
 
-        Strategy-discovered valuations may predate merges applied since
-        discovery; canonicalizing at the round boundary (and deduplicating on
-        the canonical form) makes both strategies present the *same* ordered
+        Strategy-discovered triggers may predate merges applied since
+        discovery; canonicalizing at the round boundary (and grouping on
+        the canonical form) makes every strategy present the *same* ordered
         trigger sequence to the application loop, which is what keeps their
         results byte-identical and every run deterministic.
+
+        Each trigger canonicalizes and keys itself: one with a
+        ``round_key(position)`` method (the kernel's id triggers) answers
+        ``(canonical trigger, group, order)`` on its own, any other is keyed
+        by its valuation (:func:`_valuation_round_key`).  Both orders are
+        the position, then ``_valuation_key``.  Each group keeps its first
+        trigger in that order (see the module docstring for why the rest
+        cannot fire).
         """
-        keyed: List[Tuple[tuple, Trigger]] = []
-        seen = set()
+        chosen: Dict[tuple, Tuple[tuple, Trigger]] = {}
         for trigger in triggers:
-            alpha = state.canonicalize(trigger.valuation)
-            position, _ = self._position(trigger.dependency)
-            key = (position, _valuation_key(alpha))
-            if key in seen:
-                continue
-            seen.add(key)
-            keyed.append((key, Trigger(trigger.dependency, alpha)))
-        keyed.sort(key=lambda pair: pair[0])
-        return [trigger for _, trigger in keyed]
+            position, compiled = self._position(trigger.dependency)
+            round_key = getattr(trigger, "round_key", None)
+            if round_key is not None:
+                canonical, group, order = round_key(position)
+            else:
+                canonical, group, order = _valuation_round_key(
+                    state, trigger, position, compiled
+                )
+            held = chosen.get(group)
+            if held is None or order < held[0]:
+                chosen[group] = (order, canonical)
+        return [trigger for _, trigger in sorted(chosen.values(), key=itemgetter(0))]
 
     def _deadline_exceeded(self, state, steps, rounds, trace, writer=None):
         """Raise :class:`ChaseDeadlineExceeded`, sealing a resumable log first.
@@ -625,6 +645,24 @@ def _valuation_key(alpha: Valuation) -> tuple:
             for source, target in alpha.as_dict().items()
         )
     )
+
+
+def _valuation_round_key(
+    state: ChaseState, trigger: Trigger, position: int, compiled: CompiledDependency
+) -> Tuple[Trigger, tuple, tuple]:
+    """``(canonical trigger, group, order)`` of a trigger held as a valuation.
+
+    The reference keying, used by rescan and the classic matcher: ``group``
+    is the position plus the images that decide the step (a td's
+    conclusion values bound by the body, an egd's two sides), ``order`` the
+    position plus :func:`_valuation_key`.
+    """
+    alpha = state.canonicalize(trigger.valuation)
+    if compiled.is_td:
+        group = (position, tuple(map(alpha, compiled.conclusion_bound)))
+    else:
+        group = (position, alpha(compiled.left), alpha(compiled.right))
+    return Trigger(trigger.dependency, alpha), group, (position, _valuation_key(alpha))
 
 
 def _label(dependency: ChaseDependency) -> str:

@@ -25,15 +25,20 @@ of the tableau that never hashes a ``Value`` in its hot loop:
   its bound conclusion cells, keeps the type-compatible rows for its
   existential cells, and demands column equality where one existential
   value fills several cells -- violated iff the mask is empty.
-  :meth:`TriggerKernel.violates` exposes the same check for one
-  canonicalized valuation, which is how the incremental strategy answers
-  the engine's per-step re-validation without scanning the tableau.
+  :meth:`KernelTrigger.applies` runs the same check on a trigger's
+  canonicalized ids, which is how the incremental strategy answers the
+  engine's per-step re-validation without scanning the tableau.
 
-A :class:`~repro.model.valuations.Valuation` is built only when a trigger
-is emitted.  The mirror is maintained incrementally from the same
-``TdDelta`` / ``EgdDelta`` stream that feeds ``RowIndex``; merged-away rows
-keep their slots (dead slots simply leave every mask), so maintenance is
-O(touched rows) per step, never a rebuild.
+A match leaves the kernel as its id tuple (one value id per variable).
+The incremental strategy keeps it that way as a :class:`KernelTrigger`
+until a step applies it: the round is canonicalized through the kernel's
+id-level merge map, grouped and ordered on ids, and re-validated on ids,
+and a :class:`~repro.model.valuations.Valuation` is built only for a
+trigger that applies (or when something reads ``trigger.valuation``).  The
+mirror is maintained incrementally from the same ``TdDelta`` / ``EgdDelta``
+stream that feeds ``RowIndex``; merged-away rows keep their slots (dead
+slots simply leave every mask), so maintenance is O(touched rows) per step,
+never a rebuild.
 
 Byte-identity with the classic path is structural: the kernel emits exactly
 the trigger *sets* the classic ``extend_through`` emits (the engine's fair
@@ -59,6 +64,7 @@ from repro.util.errors import ReproError
 
 __all__ = [
     "KernelError",
+    "KernelTrigger",
     "TriggerKernel",
     "resolve_kernel",
 ]
@@ -78,6 +84,19 @@ _Step = Tuple[
 
 #: Leaf checks a plan can need (see :class:`_Plan`).
 _EGD, _TOTAL, _MASK = 0, 1, 2
+
+#: The id tuple of a match: ``ids[i]`` is the image of plan variable *i*.
+Ids = Tuple[int, ...]
+
+
+def _picker(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``seq -> tuple(seq[i] for i in indices)``, through ``itemgetter``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda seq: (seq[index],)
+    return lambda seq: ()
 
 
 class KernelError(ReproError):
@@ -141,9 +160,19 @@ class _Plan:
     ``concl_free`` holds ``(column, typed)`` for existential ones, and
     ``concl_groups`` the columns that share one existential value, which a
     witness row must equate.
+
+    Two pickers key a match's id tuple for the engine's round order.
+    ``group`` takes the images that decide the step -- a td's conclusion
+    cells bound by the body, an egd's two sides -- so two matches with one
+    group add the same row or merge the same pair.  ``order`` takes every
+    image in the order of the variables' ``(name, tag or "")``; the body
+    values are distinct values, so these keys are distinct and comparing
+    two matches' images in that order is comparing their valuations'
+    ``_valuation_key``.
     """
 
     __slots__ = (
+        "cd",
         "values",
         "scan",
         "seeds",
@@ -154,9 +183,12 @@ class _Plan:
         "concl_bound",
         "concl_free",
         "concl_groups",
+        "group",
+        "order",
     )
 
     def __init__(self, cd: CompiledDependency) -> None:
+        self.cd = cd
         var_of: Dict[Value, int] = {}
         rows = []
         for body_row in cd.body_rows:
@@ -203,6 +235,15 @@ class _Plan:
         self.concl_groups = tuple(
             tuple(columns) for columns in groups.values() if len(columns) > 1
         )
+        if self.check == _EGD:
+            self.group = _picker((self.left, self.right))
+        else:
+            self.group = _picker(sorted({var for _, var in bound}))
+        source_keys = [(value.name, value.tag or "") for value in self.values]
+        assert len(set(source_keys)) == len(source_keys), "duplicate body value key"
+        self.order = _picker(
+            sorted(range(len(self.values)), key=source_keys.__getitem__)
+        )
 
 
 class TriggerKernel:
@@ -210,11 +251,12 @@ class TriggerKernel:
 
     One kernel serves one evolving tableau: seed it from the initial
     relation, feed every step's delta to :meth:`apply_delta`, and ask for
-    triggers with :meth:`find_triggers` (full scan, used at start-up) or
-    :meth:`extend_through` (all matches through one changed row, the
-    incremental hot path), and re-check one trigger with :meth:`violates`.
-    Emitted valuations are exactly those the classic ``extend_through``
-    emits for the same relation.
+    matches with :meth:`find_ids` (full scan, used at start-up) or
+    :meth:`extend_ids` (all matches through one changed row, the
+    incremental hot path).  Both hand each active match to ``emit`` as its
+    id tuple; :meth:`find_triggers` and :meth:`extend_through` are the same
+    searches emitting valuations, exactly those the classic
+    ``extend_through`` emits for the same relation.
 
     ``_rows[slot]`` is the id tuple of the row at ``slot``; ``_live`` maps
     the id tuple of every live row to its slot, so it doubles as the row
@@ -224,6 +266,11 @@ class TriggerKernel:
     ints.  ``_typed[column]`` masks the live rows whose cell there is
     typed, and ``_typed_count[column]`` counts them, so type filters are
     skipped on columns where every live cell agrees.
+
+    ``_canon[vid]`` is the id of the value's current representative: each
+    merge the deltas report relabels the ids merged into the replaced
+    value (``_merged`` lists them per representative), so canonicalizing
+    an id tuple is one lookup per id, and none before the first merge.
     """
 
     def __init__(self, relation: Relation) -> None:
@@ -231,13 +278,16 @@ class TriggerKernel:
         self._intern: Dict[Value, int] = {}
         self._values: List[Value] = []
         self._value_typed: List[bool] = []
-        self._rows: List[Tuple[int, ...]] = []
-        self._live: Dict[Tuple[int, ...], int] = {}
+        self._keys: List[Tuple[str, str]] = []
+        self._canon: List[int] = []
+        self._merged: Dict[int, List[int]] = {}
+        self._rows: List[Ids] = []
+        self._live: Dict[Ids, int] = {}
         self._postings: List[Dict[int, int]] = [{} for _ in range(nattrs)]
         self._typed: List[int] = [0] * nattrs
         self._typed_count: List[int] = [0] * nattrs
         self._alive = 0
-        self._plans: Dict[int, Tuple[CompiledDependency, _Plan]] = {}
+        self._plans: Dict[int, _Plan] = {}
         for row in relation.rows:
             self._add_row(row)
 
@@ -251,19 +301,41 @@ class TriggerKernel:
             self._discard_row(row)
         for row in delta.changed_rows:
             self._add_row(row)
+        if hasattr(delta, "kept"):
+            self._merge(delta.replaced, delta.kept)
 
-    def _ids(self, row: Row) -> Tuple[int, ...]:
+    def _new_id(self, value: Value) -> int:
+        vid = self._intern[value] = len(self._values)
+        self._values.append(value)
+        self._value_typed.append(value.tag is not None)
+        self._keys.append((value.name, value.tag or ""))
+        self._canon.append(vid)
+        return vid
+
+    def _ids(self, row: Row) -> Ids:
         """The id tuple of ``row``, interning values never seen before."""
         intern = self._intern
         ids = []
         for value in row:
             vid = intern.get(value)
             if vid is None:
-                vid = intern[value] = len(self._values)
-                self._values.append(value)
-                self._value_typed.append(value.tag is not None)
+                vid = self._new_id(value)
             ids.append(vid)
         return tuple(ids)
+
+    def _merge(self, replaced: Value, kept: Value) -> None:
+        """Record that ``replaced`` now reads ``kept`` (both representatives)."""
+        gone = self._intern.get(replaced)
+        if gone is None:
+            return  # never in a row, so in no match either
+        into = self._intern.get(kept)
+        if into is None:
+            into = self._new_id(kept)
+        moved = self._merged.pop(gone, None) or [gone]
+        canon = self._canon
+        for vid in moved:
+            canon[vid] = into
+        self._merged.setdefault(into, [into]).extend(moved)
 
     def _add_row(self, row: Row) -> None:
         ids = self._ids(row)
@@ -304,26 +376,32 @@ class TriggerKernel:
 
     # -- matching --------------------------------------------------------------
 
-    def _plan(self, cd: CompiledDependency) -> _Plan:
+    def plan(self, cd: CompiledDependency) -> _Plan:
+        """The compiled plan of ``cd`` on this kernel (built once)."""
         # Keyed by identity: hashing a dependency hashes its whole body.
-        # The entry holds ``cd`` itself, so the id stays its own.
-        entry = self._plans.get(id(cd))
-        if entry is None:
-            entry = self._plans[id(cd)] = (cd, _Plan(cd))
-        return entry[1]
+        # The plan holds ``cd`` itself, so the id stays its own.
+        plan = self._plans.get(id(cd))
+        if plan is None:
+            plan = self._plans[id(cd)] = _Plan(cd)
+        return plan
+
+    def find_ids(self, cd: CompiledDependency, emit: Callable[[Ids], None]) -> None:
+        """Emit the id tuple of every active trigger of ``cd``."""
+        if not cd.is_td and cd.trivial:
+            return
+        plan = self.plan(cd)
+        binding = [-1] * len(plan.values)
+        if plan.scan:
+            self._search(plan, plan.scan, 0, binding, emit)
+        elif self._violates(plan, binding):
+            emit(tuple(binding))
 
     def find_triggers(
         self, cd: CompiledDependency, emit: Callable[[Valuation], None]
     ) -> None:
         """Emit every active trigger of ``cd`` against the mirrored relation."""
-        if not cd.is_td and cd.trivial:
-            return
-        plan = self._plan(cd)
-        binding = [-1] * len(plan.values)
-        if plan.scan:
-            self._search(plan, plan.scan, 0, binding, emit)
-        elif self._violates(plan, binding):
-            emit(self._valuation(plan, binding))
+        plan = self.plan(cd)
+        self.find_ids(cd, lambda ids: emit(self.valuation(plan, ids)))
 
     def extend_through(
         self,
@@ -332,9 +410,12 @@ class TriggerKernel:
         emit: Callable[[Valuation], None],
     ) -> None:
         """Emit every active trigger of ``cd`` whose image includes ``row``."""
-        self.extend_ids(self._ids(row), ((cd, emit),))
+        plan = self.plan(cd)
+        self.extend_ids(
+            self._ids(row), ((cd, lambda ids: emit(self.valuation(plan, ids))),)
+        )
 
-    def live_ids(self, row: Row) -> Optional[Tuple[int, ...]]:
+    def live_ids(self, row: Row) -> Optional[Ids]:
         """The id tuple of ``row`` if the mirror holds it, else None."""
         intern = self._intern
         ids = []
@@ -348,16 +429,16 @@ class TriggerKernel:
 
     def extend_ids(
         self,
-        ids: Tuple[int, ...],
-        emitters: Sequence[Tuple[CompiledDependency, Callable[[Valuation], None]]],
+        ids: Ids,
+        emitters: Sequence[Tuple[CompiledDependency, Callable[[Ids], None]]],
     ) -> None:
-        """:meth:`extend_through` for the row with id tuple ``ids``, for
-        every ``(dependency, emit)`` pair at once."""
+        """Emit the id tuple of every active trigger whose image includes the
+        row with id tuple ``ids``, for every ``(dependency, emit)`` pair."""
         value_typed = self._value_typed
         for cd, emit in emitters:
             if not cd.is_td and cd.trivial:
                 continue
-            plan = self._plan(cd)
+            plan = self.plan(cd)
             for (_, fresh, typing, repeat), rest in plan.seeds:
                 if any(value_typed[ids[column]] != typed for column, typed in typing):
                     continue
@@ -369,7 +450,7 @@ class TriggerKernel:
                 if rest:
                     self._search(plan, rest, 0, binding, emit)
                 elif self._violates(plan, binding):
-                    emit(self._valuation(plan, binding))
+                    emit(tuple(binding))
 
     def _search(
         self,
@@ -377,7 +458,7 @@ class TriggerKernel:
         steps: Tuple[_Step, ...],
         depth: int,
         binding: List[int],
-        emit: Callable[[Valuation], None],
+        emit: Callable[[Ids], None],
     ) -> None:
         """Extend ``binding`` through ``steps[depth:]``; emit violations.
 
@@ -412,9 +493,9 @@ class TriggerKernel:
                 self._search(plan, steps, depth + 1, binding, emit)
             elif check == _TOTAL:
                 if plan.conclusion(binding) not in self._live:
-                    emit(self._valuation(plan, binding))
+                    emit(tuple(binding))
             elif self._violates(plan, binding):
-                emit(self._valuation(plan, binding))
+                emit(tuple(binding))
 
     def _type_filter(self, mask: int, typing: Sequence[Tuple[int, bool]]) -> int:
         """``mask`` narrowed to rows whose cell in each ``(column, typed)``
@@ -428,37 +509,33 @@ class TriggerKernel:
                 mask &= ~self._typed[column]
         return mask
 
-    def _valuation(self, plan: _Plan, binding: List[int]) -> Valuation:
+    # -- triggers as ids ---------------------------------------------------------
+
+    def canonical(self, ids: Ids) -> Ids:
+        """``ids`` with every value replaced by its current representative.
+
+        Returns ``ids`` itself when nothing in it was merged away.
+        """
+        if not self._merged:
+            return ids
+        canon = tuple(map(self._canon.__getitem__, ids))
+        return ids if canon == ids else canon
+
+    def valuation(self, plan: _Plan, ids: Ids) -> Valuation:
+        """The valuation of the match ``ids`` of ``plan``.
+
+        The kernel's type filters bind typed body values to typed cells of
+        their own column and untyped ones to untyped cells, so the pairs
+        are valid without re-checking them.
+        """
         values = self._values
-        return Valuation(
-            {value: values[vid] for value, vid in zip(plan.values, binding)}
+        return Valuation._trusted(
+            {value: values[vid] for value, vid in zip(plan.values, ids)}
         )
 
     # -- violation checks ------------------------------------------------------
 
-    def violates(self, cd: CompiledDependency, alpha: Valuation) -> bool:
-        """Whether ``alpha`` is an active trigger of ``cd`` on the mirror.
-
-        ``alpha`` must already be canonicalized against the tableau the
-        mirror holds.  Answers exactly what ``steps.violates`` answers for
-        that tableau, with one lookup (total td) or one mask computation
-        instead of a ``row_embeddings`` scan.  A trivial egd is never
-        violated.
-        """
-        if not cd.is_td:
-            return not cd.trivial and alpha(cd.left) != alpha(cd.right)
-        plan = self._plan(cd)
-        binding = [-1] * len(plan.values)
-        intern = self._intern
-        for _, var in plan.concl_bound:
-            vid = intern.get(alpha(plan.values[var]))
-            if vid is None:
-                # No mirrored row carries the value, so none witnesses.
-                return True
-            binding[var] = vid
-        return self._violates(plan, binding)
-
-    def _violates(self, plan: _Plan, binding: List[int]) -> bool:
+    def _violates(self, plan: _Plan, binding: Sequence[int]) -> bool:
         """No mirrored row witnesses the conclusion under ``binding``.
 
         Total tds look their conclusion's id tuple up in the live rows.
@@ -493,3 +570,71 @@ class TriggerKernel:
             ):
                 return False
         return True
+
+
+class KernelTrigger:
+    """A trigger held as one kernel's value ids until a step applies it.
+
+    ``ids[i]`` is the image of the plan's variable *i*.  ``dependency``,
+    :meth:`kind` and ``valuation`` answer as on
+    :class:`~repro.chase.steps.Trigger`; the valuation is built on first
+    access, so checkpoint round records and callers that inspect a round
+    read it unchanged, while the engine orders the round
+    (:meth:`round_key`) and re-validates each trigger (:meth:`applies`) on
+    the ids alone.
+    """
+
+    __slots__ = ("_kernel", "_plan", "ids", "_valuation")
+
+    def __init__(self, kernel: TriggerKernel, plan: _Plan, ids: Ids) -> None:
+        self._kernel = kernel
+        self._plan = plan
+        self.ids = ids
+        self._valuation: Optional[Valuation] = None
+
+    @property
+    def dependency(self):
+        """The td or egd this trigger fires."""
+        return self._plan.cd.dependency
+
+    def kind(self) -> str:
+        """``"td"`` or ``"egd"``."""
+        return "td" if self._plan.cd.is_td else "egd"
+
+    @property
+    def valuation(self) -> Valuation:
+        """The trigger's valuation (built once, on first access)."""
+        if self._valuation is None:
+            self._valuation = self._kernel.valuation(self._plan, self.ids)
+        return self._valuation
+
+    def round_key(self, position: int) -> Tuple["KernelTrigger", tuple, tuple]:
+        """``(canonical trigger, group, order)`` for the engine's round.
+
+        The canonical trigger holds the ids' current representatives;
+        ``group`` is ``position`` plus the images that decide the step, and
+        ``order`` is ``position`` plus every image's ``(name, tag or "")``
+        in the plan's source order -- the order ``_valuation_key`` gives.
+        """
+        kernel, plan = self._kernel, self._plan
+        ids = kernel.canonical(self.ids)
+        canonical = self if ids is self.ids else KernelTrigger(kernel, plan, ids)
+        order = tuple(map(kernel._keys.__getitem__, plan.order(ids)))
+        return canonical, (position, plan.group(ids)), (position, order)
+
+    def applies(self) -> Optional[Valuation]:
+        """The canonical valuation if the trigger is still active, else None.
+
+        Re-canonicalizes the ids and asks the mirror, so only a trigger
+        that applies builds a valuation.
+        """
+        kernel, plan = self._kernel, self._plan
+        ids = kernel.canonical(self.ids)
+        if not kernel._violates(plan, ids):
+            return None
+        if ids is self.ids:
+            return self.valuation
+        return kernel.valuation(plan, ids)
+
+    def __repr__(self) -> str:
+        return f"KernelTrigger({self.dependency!r}, {self.valuation!r})"

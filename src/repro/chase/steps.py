@@ -28,6 +28,7 @@ from repro.model.relations import Relation
 from repro.model.tuples import Row
 from repro.model.valuations import Valuation, homomorphisms, row_embeddings
 from repro.model.values import Value
+from repro.util.errors import SchemaError
 from repro.util.fresh import FreshSupply
 from repro.util.intern import intern
 
@@ -99,6 +100,9 @@ class CompiledDependency:
     body_rest: Tuple[Relation, ...]
     body_values: frozenset[Value]
     conclusion: Optional[Row]
+    #: The conclusion's values that occur in the body, in column order
+    #: without repeats: their images decide which row a td step adds.
+    conclusion_bound: Tuple[Value, ...]
     is_total: bool
     left: Optional[Value]
     right: Optional[Value]
@@ -128,6 +132,9 @@ def compile_dependency(dependency: ChaseDependency) -> CompiledDependency:
             body_rest=body_rest,
             body_values=body_values,
             conclusion=conclusion,
+            conclusion_bound=tuple(
+                dict.fromkeys(value for value in conclusion if value in body_values)
+            ),
             is_total=conclusion.values() <= body_values,
             left=None,
             right=None,
@@ -141,6 +148,7 @@ def compile_dependency(dependency: ChaseDependency) -> CompiledDependency:
         body_rest=body_rest,
         body_values=body_values,
         conclusion=None,
+        conclusion_bound=(),
         is_total=True,
         left=dependency.left,
         right=dependency.right,
@@ -334,9 +342,15 @@ def apply_td_step(
     """
     if body_values is None:
         body_values = dependency.body.values()
+    relation = state.relation
+    conclusion = dependency.conclusion
+    if conclusion.scheme != relation.universe.scheme:
+        raise SchemaError(
+            f"td conclusion {conclusion!r} is not over universe "
+            f"{''.join(a.name for a in relation.universe)}"
+        )
     fresh_for: Dict[Value, Value] = {}
     cells = []
-    conclusion = dependency.conclusion
     for value in conclusion:
         if value in body_values:
             cells.append(alpha(value))
@@ -350,10 +364,11 @@ def apply_td_step(
                 )
             cells.append(fresh_for[value])
     # alpha respects typing and fresh values copy their tag, so the image
-    # is valid for the conclusion's scheme.
-    new_row = Row._trusted(conclusion.scheme, tuple(cells))
+    # is valid for the conclusion's scheme, which is the tableau's.
+    new_row = conclusion._image(cells)
     delta = TdDelta(row=new_row)
-    state.advance(state.relation.with_rows([new_row]), delta)
+    rows = relation.rows | {new_row}
+    state.advance(Relation._trusted(relation.universe, rows), delta)
     return delta
 
 
@@ -393,8 +408,7 @@ def apply_egd_step(
     )
     # kept and replaced share a domain, so each image stays valid.
     changed = frozenset(
-        Row._trusted(row.scheme, tuple(substitute(value) for value in row))
-        for row in removed
+        row._image([substitute(value) for value in row]) for row in removed
     )
     delta = EgdDelta(
         kept=kept, replaced=replaced, changed_rows=changed, removed_rows=removed

@@ -16,9 +16,12 @@ The implementations answer "which triggers?" very differently:
   homomorphism can appear, so only partial matches through those rows are
   extended, once per round at the barrier.  A round then costs work
   proportional to what changed.  On the columnar kernel each step also
-  lands on the kernel's column mirror as it applies, so the engine's
-  per-step re-validation is answered from the mirror with one lookup or
-  mask computation instead of a row-by-row scan of the tableau.
+  lands on the kernel's column mirror as it applies, and each trigger
+  stays a tuple of kernel value ids (a
+  :class:`~repro.chase.kernel.KernelTrigger`) until a step applies it, so
+  the engine orders the round and answers the per-step re-validation on
+  ids, with one lookup or mask computation instead of a row-by-row scan of
+  the tableau.
 
 Both strategies feed the same fair round loop and produce identical chase
 results; see ``tests/chase/test_differential.py`` for the property test and
@@ -30,7 +33,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple, Union
 
-from repro.chase.kernel import TriggerKernel, resolve_kernel
+from repro.chase.kernel import Ids, KernelTrigger, TriggerKernel, resolve_kernel
 from repro.chase.steps import (
     ChaseDependency,
     ChaseState,
@@ -66,7 +69,10 @@ class ChaseStrategy(Protocol):
     A strategy may also define ``trigger_is_active(state, trigger,
     compiled)`` with the contract of
     :func:`repro.chase.steps.trigger_is_active`; the engine then
-    re-validates through it instead of through the reference check.
+    re-validates through it instead of through the reference check.  A
+    trigger may key itself for the engine's round order through
+    ``round_key(position)`` (as :class:`~repro.chase.kernel.KernelTrigger`
+    does); any other is keyed by its valuation.
     """
 
     name: str
@@ -138,14 +144,15 @@ class IncrementalStrategy:
     nothing is missed, and a row touched by several steps of one round is
     extended through once.
 
-    Each (dependency position, valuation) pair is emitted at most once per
-    run: a dependency listed twice shares its position, so its copies never
-    enqueue the same trigger twice.  The classic matcher reads the live
-    engine state and searches the *persistently maintained* (attribute,
-    value) -> rows buckets of its :class:`~repro.chase.row_index.RowIndex`,
-    which the steps themselves keep in sync, so by the barrier they already
-    describe the post-round tableau; rebuilding an index per probe would
-    smuggle the full tableau scan back in.
+    Each (dependency position, match) pair is emitted at most once per
+    run, and a dependency listed twice is matched once: its copies share a
+    position and would find the same triggers.  The classic matcher reads
+    the live engine state and searches the *persistently maintained*
+    (attribute, value) -> rows buckets of its
+    :class:`~repro.chase.row_index.RowIndex`, which the steps themselves
+    keep in sync, so by the barrier they already describe the post-round
+    tableau; rebuilding an index per probe would smuggle the full tableau
+    scan back in.
 
     Triggers discovered at the barrier form the *next* round, which is
     exactly the fairness discipline of the rescan engine: every trigger
@@ -155,13 +162,15 @@ class IncrementalStrategy:
     ``kernel`` picks the matcher.  On ``"auto"`` (the default) seeding and
     barrier extension run as batched posting-list passes over a column
     mirror the strategy owns (:mod:`repro.chase.kernel`), instead of
-    dict-probing ``homomorphisms`` calls.  :meth:`observe` lands each step
-    on the mirror as it applies (discovery still waits for the barrier),
-    so the mirror always holds the live tableau and
-    :meth:`trigger_is_active` answers the engine's per-step re-validation
-    with one lookup or mask computation.  ``"off"`` keeps the classic
-    matcher; the trigger sets (and therefore the chase results) are
-    byte-identical either way.
+    dict-probing ``homomorphisms`` calls, and a round is a list of
+    :class:`~repro.chase.kernel.KernelTrigger` objects, deduplicated on
+    their id tuples.  :meth:`observe` lands each step on the mirror as it
+    applies (discovery still waits for the barrier), so the mirror always
+    holds the live tableau and :meth:`trigger_is_active` answers the
+    engine's per-step re-validation with one lookup or mask computation.
+    ``"off"`` keeps the classic matcher and :class:`Trigger` valuations;
+    the trigger sets (and therefore the chase results) are byte-identical
+    either way.
     """
 
     name = "incremental"
@@ -169,7 +178,8 @@ class IncrementalStrategy:
     def __init__(self, kernel: Optional[str] = None) -> None:
         self._state: Optional[ChaseState] = None
         self._members: Tuple[Tuple[int, CompiledDependency], ...] = ()
-        self._seen: Set[Tuple[int, Valuation]] = set()
+        #: Per position, the matches (id tuples or valuations) emitted so far.
+        self._seen: Dict[int, Set[Union[Ids, Valuation]]] = {}
         self._pending: List[StepDelta] = []
         self._queue: Optional[List[Trigger]] = None
         self._kernel_mode = kernel
@@ -182,10 +192,13 @@ class IncrementalStrategy:
     ) -> None:
         self._state = state
         # One position per dependency: a dependency listed twice shares its
-        # position, so its triggers are deduplicated across the copies.
+        # position, and its first copy stands for every copy.
         positions = {cd.dependency: p for p, cd in enumerate(compiled)}
-        self._members = tuple((positions[cd.dependency], cd) for cd in compiled)
-        self._seen = set()
+        members: Dict[int, CompiledDependency] = {}
+        for cd in compiled:
+            members.setdefault(positions[cd.dependency], cd)
+        self._members = tuple(members.items())
+        self._seen = {position: set() for position in members}
         self._pending = []
         backend = resolve_kernel(self._kernel_mode)
         self.kernel = backend or "off"
@@ -221,13 +234,12 @@ class IncrementalStrategy:
         """The engine's re-validation, answered from the kernel mirror.
 
         Same contract as :func:`repro.chase.steps.trigger_is_active`, which
-        it falls back to on the classic matcher (``kernel="off"``).
+        answers every trigger that is not a kernel trigger (the classic
+        matcher's, ``kernel="off"``).
         """
-        mirror = self._mirror
-        if mirror is None:
-            return trigger_is_active(state, trigger, compiled)
-        alpha = state.canonicalize(trigger.valuation)
-        return alpha if mirror.violates(compiled, alpha) else None
+        if isinstance(trigger, KernelTrigger):
+            return trigger.applies()
+        return trigger_is_active(state, trigger, compiled)
 
     def _seed(self) -> List[Trigger]:
         """Initial triggers of every dependency (one full scan)."""
@@ -235,9 +247,7 @@ class IncrementalStrategy:
         mirror = self._mirror
         if mirror is not None:
             for position, cd in self._members:
-                mirror.find_triggers(
-                    cd, partial(self._emit, position, cd.dependency, out=out)
-                )
+                mirror.find_ids(cd, self._kernel_emitter(position, cd, out))
             return out
         index = self._state.row_index.attr_buckets
         for position, cd in self._members:
@@ -257,11 +267,11 @@ class IncrementalStrategy:
         visited: Set[object] = set()
         out: List[Trigger] = []
         mirror = self._mirror
-        emitters = [
-            (cd, partial(self._emit, position, cd.dependency, out=out))
-            for position, cd in self._members
-        ]
         if mirror is not None:
+            emitters = [
+                (cd, self._kernel_emitter(position, cd, out))
+                for position, cd in self._members
+            ]
             # Rows are tracked by their id tuples, which the mirror also
             # uses to tell whether a row is still live.
             for delta in deltas:
@@ -272,6 +282,10 @@ class IncrementalStrategy:
                     visited.add(ids)
                     mirror.extend_ids(ids, emitters)
             return out
+        emitters = [
+            (cd, partial(self._emit, position, cd.dependency, out=out))
+            for position, cd in self._members
+        ]
         relation = self._state.relation
         index = self._state.row_index.attr_buckets
         for delta in deltas:
@@ -290,11 +304,24 @@ class IncrementalStrategy:
         alpha: Valuation,
         out: List[Trigger],
     ) -> None:
-        key = (position, alpha)
-        if key in self._seen:
+        seen = self._seen[position]
+        if alpha in seen:
             return
-        self._seen.add(key)
+        seen.add(alpha)
         out.append(Trigger(dependency, alpha))
+
+    def _kernel_emitter(
+        self, position: int, cd: CompiledDependency, out: List[KernelTrigger]
+    ) -> Callable[[Ids], None]:
+        """``emit(ids)`` queueing a kernel trigger for each new match of ``cd``."""
+        kernel, plan, seen = self._mirror, self._mirror.plan(cd), self._seen[position]
+
+        def emit(ids: Ids) -> None:
+            if ids not in seen:
+                seen.add(ids)
+                out.append(KernelTrigger(kernel, plan, ids))
+
+        return emit
 
 
 def extend_through(

@@ -55,7 +55,16 @@ def is_counterexample(
 
     A counterexample relation (footnote 2 of the paper) satisfies every
     premise but violates the conclusion.
+
+    The td and egd checks share one homomorphism index cached on
+    ``relation``; a checked counterexample usually lives on in an outcome,
+    and the index is larger than the relation, so the relation's cache slot
+    is left as the check found it.
     """
-    if not all_satisfied(relation, premises):
-        return False
-    return not conclusion.satisfied_by(relation)
+    cached = relation._hom_index
+    try:
+        if not all_satisfied(relation, premises):
+            return False
+        return not conclusion.satisfied_by(relation)
+    finally:
+        relation._hom_index = cached

@@ -31,6 +31,11 @@ class Attribute:
         if not self.name:
             raise SchemaError("attribute name must be a non-empty string")
 
+    def __hash__(self) -> int:
+        # Equal attributes share a name, so the name alone is a valid hash,
+        # and it skips building a one-field tuple on every dict probe.
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
@@ -70,9 +75,12 @@ class Universe:
 
     The ordering is only used for display and for deterministic iteration; set
     operations (union, complement, subset tests) treat a universe as a set.
+    Equality and hashing go through the frozenset of the attributes, built
+    once per universe; a pickled frozenset is rebuilt element by element,
+    so no hash value travels in a pickle.
     """
 
-    __slots__ = ("_attributes", "_index")
+    __slots__ = ("_attributes", "_index", "_key", "_scheme")
 
     def __init__(self, attributes: Iterable[AttributeLike]) -> None:
         attrs = [as_attribute(a) for a in attributes]
@@ -87,6 +95,8 @@ class Universe:
             raise SchemaError("a universe must contain at least one attribute")
         self._attributes: tuple[Attribute, ...] = tuple(unique)
         self._index = {attr: i for i, attr in enumerate(self._attributes)}
+        self._key = frozenset(self._attributes)
+        self._scheme = tuple(sorted(self._attributes, key=lambda a: a.name))
 
     @classmethod
     def from_names(cls, names: str) -> "Universe":
@@ -102,6 +112,11 @@ class Universe:
         """The attributes of the universe, in declaration order."""
         return self._attributes
 
+    @property
+    def scheme(self) -> tuple[Attribute, ...]:
+        """The attributes sorted by name: the scheme of every row over them."""
+        return self._scheme
+
     def __iter__(self) -> Iterator[Attribute]:
         return iter(self._attributes)
 
@@ -116,10 +131,10 @@ class Universe:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Universe):
             return NotImplemented
-        return set(self._attributes) == set(other._attributes)
+        return self is other or self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._attributes))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"Universe({''.join(a.name for a in self._attributes)!r})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.model.attributes import Attribute, AttributeLike, Universe, as_attribute
-from repro.model.tuples import Row
+from repro.model.tuples import Row, rows_over
 from repro.model.values import Value
 from repro.util.errors import SchemaError, TypingError
 
@@ -31,13 +31,7 @@ class Relation:
     def __init__(self, universe: Universe, rows: Iterable[Row] = ()) -> None:
         self._universe = universe
         frozen = frozenset(rows)
-        expected = set(universe.attributes)
-        for row in frozen:
-            if set(row.scheme) != expected:
-                raise SchemaError(
-                    f"row {row!r} is not over universe "
-                    f"{''.join(a.name for a in universe)}"
-                )
+        _check_schemes(universe, frozen)
         self._rows: frozenset[Row] = frozen
         # Lazily-built (attribute, value) -> rows buckets for homomorphism
         # search (see repro.model.valuations.homomorphisms).  Never part of
@@ -121,8 +115,9 @@ class Relation:
         # Pickle only the universe and rows: the homomorphism-index cache is
         # per-process derived state (and can dwarf the relation itself), so
         # shipping a relation to a caller-owned spawned pool must not drag
-        # it along.
-        return (_rebuild_relation, (self._universe, self._rows))
+        # it along.  Every row is over the universe, so rows travel as
+        # plain value tuples and one row-class lookup rebuilds them all.
+        return (_rebuild_relation, (self._universe, tuple(map(tuple, self._rows))))
 
     # -- paper operations -----------------------------------------------------
 
@@ -198,13 +193,7 @@ class Relation:
     def with_rows(self, rows: Iterable[Row]) -> "Relation":
         """A relation with the given rows added (new rows are validated)."""
         added = frozenset(rows)
-        expected = set(self._universe.attributes)
-        for row in added:
-            if set(row.scheme) != expected:
-                raise SchemaError(
-                    f"row {row!r} is not over universe "
-                    f"{''.join(a.name for a in self._universe)}"
-                )
+        _check_schemes(self._universe, added)
         return Relation._trusted(self._universe, self._rows | added)
 
     def without_rows(self, rows: Iterable[Row]) -> "Relation":
@@ -333,6 +322,22 @@ class Relation:
         return cls(universe, rows)
 
 
-def _rebuild_relation(universe: Universe, rows: "frozenset[Row]") -> Relation:
+def _check_schemes(universe: Universe, rows: Iterable[Row]) -> None:
+    """Raise :class:`SchemaError` unless every row is over ``universe``.
+
+    Schemes list attributes sorted by name, so one tuple comparison per
+    row decides it.
+    """
+    scheme = universe.scheme
+    for row in rows:
+        if row.scheme != scheme:
+            raise SchemaError(
+                f"row {row!r} is not over universe "
+                f"{''.join(a.name for a in universe)}"
+            )
+
+
+def _rebuild_relation(universe: Universe, cells: tuple) -> Relation:
     """Unpickling entry point: revalidation-free, cache-free reconstruction."""
-    return Relation._trusted(universe, rows)
+    names = tuple(a.name for a in universe.scheme)
+    return Relation._trusted(universe, frozenset(rows_over(names, cells)))

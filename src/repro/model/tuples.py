@@ -8,6 +8,7 @@ Python's built-in tuple; the paper terminology is kept in the docstrings.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Union
 
 from repro.model.attributes import Attribute, AttributeLike, Universe, as_attribute
@@ -24,56 +25,100 @@ def _coerce_value(value: Union[Value, str, int]) -> Value:
     return Value(str(value), None)
 
 
-#: Shared scheme tuples: every row over one attribute set holds the same
-#: scheme tuple, so a row costs one values tuple plus one pointer.
-_SCHEMES: dict = {}
+_tuple_eq = tuple.__eq__
+
+#: Row classes by attribute names (sorted).  Each per-scheme subclass of
+#: :class:`Row` carries its scheme, so a row is one tuple of values.
+_ROW_CLASSES: dict = {}
+
+#: Entries :data:`_ROW_CLASSES` holds before it is cleared.  A class costs
+#: about a kilobyte, and a program uses a few schemes per universe.
+_ROW_CLASS_LIMIT = 1024
 
 
-class Row:
+def _make_row_class(names: tuple) -> type:
+    scheme = tuple(as_attribute(name) for name in names)
+    return type(
+        "Row",
+        (Row,),
+        {
+            "__slots__": (),
+            "scheme": scheme,
+            "_names": names,
+            "_columns": {name: column for column, name in enumerate(names)},
+        },
+    )
+
+
+def row_class(names: tuple) -> type:
+    """The :class:`Row` subclass for the attributes named ``names`` (sorted).
+
+    Shared through a bounded intern: rows compare their schemes, never
+    their classes, so a cleared table only costs a new class.
+    """
+    found = _ROW_CLASSES.get(names)
+    if found is None:
+        found = intern(_ROW_CLASSES, names, _make_row_class, limit=_ROW_CLASS_LIMIT)
+    return found
+
+
+class Row(tuple):
     """An immutable X-value: a mapping from attributes to domain values.
 
     Rows are hashable and compare by their attribute/value pairs, so a
     relation can store them in a set.  The attribute set of a row (its
     *scheme*) is fixed at construction.
 
-    A row stores its scheme (attributes sorted by name, shared with every
-    other row over the same attributes) and one tuple of values in the
-    same order.  It caches no hash: a cached hash would be pickled with
-    the row and go stale in a process with another string-hash seed.
+    A row is a tuple of its values in scheme order (attributes sorted by
+    name); its class, a per-scheme subclass shared by every row over the
+    same attributes, carries the scheme.  So a row costs one tuple, and
+    hashing and iterating it run in C.  Two rows are equal when their
+    values and their schemes are, and a row never equals a plain tuple.
+    Rows cache no hash and pickle as (attribute names, values), so a
+    pickle carries nothing that depends on the process's string-hash
+    seed.
     """
 
-    __slots__ = ("_attrs", "_values")
+    __slots__ = ()
 
-    def __init__(self, mapping: RowMapping) -> None:
-        pairs = []
-        seen: set[Attribute] = set()
+    #: Set by each per-scheme subclass (see :func:`row_class`).
+    scheme: tuple = ()
+    _names: tuple = ()
+    _columns: dict = {}
+
+    def __new__(cls, mapping: RowMapping) -> "Row":
+        cells: dict = {}
         for raw_attr, raw_value in mapping.items():
             attr = as_attribute(raw_attr)
-            if attr in seen:
+            name = attr.name
+            if name in cells:
                 raise SchemaError(f"attribute {attr} given twice in row")
-            seen.add(attr)
             value = _coerce_value(raw_value)
-            check_column_value(attr, value)
-            pairs.append((attr, value))
-        if not pairs:
+            if value.tag is not None and value.tag != name:
+                check_column_value(attr, value)
+            cells[name] = value
+        if not cells:
             raise SchemaError("a row must have at least one attribute")
-        pairs.sort(key=lambda item: item[0].name)
-        self._attrs: tuple[Attribute, ...] = intern(
-            _SCHEMES, tuple(attr for attr, _ in pairs)
-        )
-        self._values: tuple[Value, ...] = tuple(value for _, value in pairs)
+        names = tuple(sorted(cells))
+        return tuple.__new__(row_class(names), [cells[name] for name in names])
 
     @classmethod
     def _trusted(cls, scheme: tuple, values: tuple) -> "Row":
         """Internal constructor skipping validation.
 
         Only for ``values`` already valid for ``scheme``, the scheme of an
-        existing row (a chase step's image of a row it already holds).
+        existing row.  A chase step builds the image of a row it holds
+        with :meth:`_image`, which skips the class lookup too.
         """
-        row = cls.__new__(cls)
-        row._attrs = scheme
-        row._values = values
-        return row
+        return tuple.__new__(row_class(tuple(a.name for a in scheme)), values)
+
+    def _image(self, values) -> "Row":
+        """A row over this row's scheme holding ``values``, unvalidated.
+
+        Only for values valid for the scheme (a chase step's image of a
+        row it already holds).
+        """
+        return tuple.__new__(type(self), values)
 
     # -- construction helpers -------------------------------------------------
 
@@ -121,25 +166,17 @@ class Row:
 
     # -- paper operations -----------------------------------------------------
 
-    @property
-    def scheme(self) -> tuple[Attribute, ...]:
-        """The attribute set of this X-value (sorted by attribute name)."""
-        return self._attrs
-
     def __getitem__(self, attribute: AttributeLike) -> Value:
         attr = as_attribute(attribute)
-        try:
-            return self._values[self._attrs.index(attr)]
-        except ValueError:
-            raise SchemaError(f"row has no attribute {attr}") from None
+        column = self._columns.get(attr.name)
+        if column is None:
+            raise SchemaError(f"row has no attribute {attr}")
+        return tuple.__getitem__(self, column)
 
     def get(self, attribute: AttributeLike) -> Value | None:
         """Like ``__getitem__`` but returning ``None`` for missing attributes."""
-        attr = as_attribute(attribute)
-        try:
-            return self._values[self._attrs.index(attr)]
-        except ValueError:
-            return None
+        column = self._columns.get(as_attribute(attribute).name)
+        return None if column is None else tuple.__getitem__(self, column)
 
     def restrict(self, attributes: Iterable[AttributeLike]) -> "Row":
         """The restriction ``w[Y]`` of this row to the attribute set ``Y``."""
@@ -149,19 +186,19 @@ class Row:
             raise SchemaError(
                 f"row has no attributes {sorted(a.name for a in missing)}"
             )
-        return Row({a: v for a, v in zip(self._attrs, self._values) if a in attrs})
+        return Row({a: v for a, v in zip(self.scheme, self) if a in attrs})
 
     def values(self) -> frozenset[Value]:
         """``VAL(w)``: the set of all values appearing in the row."""
-        return frozenset(self._values)
+        return frozenset(self)
 
     def items(self) -> tuple[tuple[Attribute, Value], ...]:
         """The (attribute, value) pairs of the row, sorted by attribute name."""
-        return tuple(zip(self._attrs, self._values))
+        return tuple(zip(self.scheme, self))
 
     def as_dict(self) -> dict[Attribute, Value]:
         """A plain dict copy of the row's mapping."""
-        return dict(zip(self._attrs, self._values))
+        return dict(zip(self.scheme, self))
 
     def replace(self, updates: RowMapping) -> "Row":
         """A copy of this row with some attributes re-assigned."""
@@ -179,34 +216,48 @@ class Row:
 
     def is_typed(self) -> bool:
         """Whether every value in the row is typed and matches its column."""
-        return all(v.tag == a.name for a, v in zip(self._attrs, self._values))
+        return all(v.tag == a.name for a, v in zip(self.scheme, self))
 
     def is_untyped(self) -> bool:
         """Whether every value in the row is untyped."""
-        return all(v.tag is None for v in self._values)
+        return all(v.tag is None for v in self)
 
     # -- dunder plumbing ------------------------------------------------------
-
-    def __iter__(self) -> Iterator[Value]:
-        """The row's values, in scheme order."""
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
+    #
+    # Iteration (the values in scheme order), ``len`` and ``hash`` are the
+    # tuple's own.
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Row):
-            return NotImplemented
-        return self._values == other._values and self._attrs == other._attrs
+        if type(other) is type(self):
+            return _tuple_eq(self, other)
+        if isinstance(other, Row):
+            return self.scheme == other.scheme and _tuple_eq(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values)
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def __reduce__(self):
+        return (_rebuild_row, (self._names, tuple(self)))
 
     def __repr__(self) -> str:
-        cells = ", ".join(
-            f"{a.name}={v.name}" for a, v in zip(self._attrs, self._values)
-        )
+        cells = ", ".join(f"{a.name}={v.name}" for a, v in zip(self.scheme, self))
         return f"Row({cells})"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(v.name for v in self._values) + ")"
+        return "(" + ", ".join(v.name for v in self) + ")"
+
+
+def _rebuild_row(names: tuple, values: tuple) -> Row:
+    """Unpickling entry point: finds the row class by attribute names."""
+    return tuple.__new__(_ROW_CLASSES.get(names) or row_class(names), values)
+
+
+def rows_over(names: tuple, cells: Iterable[tuple]) -> Iterator[Row]:
+    """Rows over the attributes named ``names`` (sorted), one per tuple of
+    values in ``cells``, unvalidated: for values already valid there (a
+    relation rebuilt from its pickle)."""
+    return map(partial(tuple.__new__, row_class(names)), cells)

@@ -36,6 +36,17 @@ class Valuation:
             _check_typed_pair(source, target)
         self._mapping = data
 
+    @classmethod
+    def _trusted(cls, mapping: Dict[Value, Value]) -> "Valuation":
+        """Internal constructor taking ``mapping`` as is, unchecked.
+
+        Only for a fresh dict whose pairs already respect typing (the
+        chase kernel's matches, whose type filters guarantee it).
+        """
+        valuation = cls.__new__(cls)
+        valuation._mapping = mapping
+        return valuation
+
     # -- basic accessors ------------------------------------------------------
 
     def as_dict(self) -> dict[Value, Value]:

@@ -27,7 +27,9 @@ class _RaisesAttributeError:
 
 class _OlderRowLayout:
     """Pickles as a ``Row`` in the layout older releases wrote: a per-cell
-    ``_items`` tuple and a cached ``_hash`` restored into slots."""
+    ``_items`` tuple and a cached ``_hash`` restored into slots.  A row is
+    a tuple now, so loading it fails in ``object.__new__`` with a
+    ``TypeError``."""
 
     def __reduce_ex__(self, protocol):
         return (object.__new__, (Row,), (None, {"_items": (), "_hash": 0}))
@@ -150,15 +152,17 @@ class TestFileOutcomeStore:
         assert store.stats.misses == 1
 
     @pytest.mark.parametrize(
-        "payload",
-        [_RaisesAttributeError(), _OlderRowLayout()],
+        "payload, error",
+        [(_RaisesAttributeError(), AttributeError), (_OlderRowLayout(), TypeError)],
         ids=["raises", "older_row"],
     )
-    def test_entry_whose_load_raises_degrades_to_a_miss(self, tmp_path, payload):
+    def test_entry_whose_load_raises_degrades_to_a_miss(
+        self, tmp_path, payload, error
+    ):
         """Any error from unpickling is a miss, and the next put rewrites it."""
         store = FileOutcomeStore(str(tmp_path))
         (tmp_path / "s_k.pkl").write_bytes(pickle.dumps(("s:k", payload)))
-        with pytest.raises(AttributeError):
+        with pytest.raises(error):
             pickle.loads((tmp_path / "s_k.pkl").read_bytes())
         assert store.get(ident("s:k")) is None
         assert store.stats.misses == 1

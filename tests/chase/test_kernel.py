@@ -20,7 +20,10 @@ that equivalence at two levels:
 * **step level** -- every per-step re-validation the incremental strategy
   answers from its kernel mirror must equal the reference
   ``steps.trigger_is_active`` on the live state, and the default path must
-  never scan the tableau for a witness row.
+  never scan the tableau for a witness row;
+* **round level** -- the round the engine schedules from the kernel's id
+  triggers (canonicalized, grouped and ordered on ids) must equal the
+  reference ordering of the same triggers built as valuations.
 
 Cases come from the shared ``random_case`` generator
 (``tests/chase/conftest.py``), so every instance holds at least one active
@@ -36,8 +39,8 @@ import pytest
 
 import repro.chase.steps as steps_module
 from repro.chase import chase
-from repro.chase.engine import _valuation_key
-from repro.chase.kernel import KernelError, TriggerKernel, resolve_kernel
+from repro.chase.engine import ChaseEngine, _valuation_key
+from repro.chase.kernel import KernelError, KernelTrigger, TriggerKernel, resolve_kernel
 from repro.chase.steps import compile_dependency, initial_state
 from repro.chase.steps import find_triggers as classic_find_triggers
 from repro.chase.strategies import (
@@ -177,9 +180,11 @@ def _non_total_case(seed: int):
     The shared generator's tds rarely reach re-validation with an
     existential conclusion value, so this family supplies the non-total
     checks: the ``pair`` td's existential fills two columns (a witness must
-    repeat one value, the kernel's ``concl_groups`` path), rows sharing a
-    B-value make one step satisfy a later trigger of the same round, and
-    the egd's merges make triggers stale.
+    repeat one value, the kernel's ``concl_groups`` path), and the egd's
+    merges make triggers stale.  A round keeps one trigger per conclusion,
+    so a td trigger is found inactive only when a merge earlier in its
+    round collapses its conclusion into another's: the egd is listed first,
+    so its merges apply before the round's td triggers.
     """
     rng = random.Random(seed)
     body = Relation.untyped(ABC, [["x", "y", "z"]])
@@ -189,7 +194,7 @@ def _non_total_case(seed: int):
     ]
     fd_body = Relation.untyped(ABC, [["u", "p", "s"], ["u", "q", "t"]])
     egd = EqualityGeneratingDependency(untyped("p"), untyped("q"), fd_body, name="fd")
-    deps = rng.sample(tds, rng.randint(1, 2)) + [egd]
+    deps = [egd] + rng.sample(tds, rng.randint(1, 2))
     domain = rng.randint(2, 4)
     instance = Relation.untyped(
         ABC,
@@ -242,6 +247,77 @@ def test_kernel_revalidation_matches_reference_at_every_step(backend, random_cas
                 f"{kind} {'active' if active else 'inactive'}: "
                 f"{cells[kind, active]} checks ({dict(cells)})"
             )
+
+
+# -- round-level parity --------------------------------------------------------
+
+
+def _reference_round(state, triggers, position_of):
+    """The round the engine must schedule, from valuations alone.
+
+    Every trigger is canonicalized, sorted by position and
+    ``_valuation_key``, and kept only if it is the first of its group: a
+    td's position and the images of its conclusion's body values, or an
+    egd's position and the images of its two sides.  Returns the kept
+    triggers' ``(position, _valuation_key)`` pairs in order.
+    """
+    keyed = []
+    for trigger in triggers:
+        position, cd = position_of(trigger.dependency)
+        alpha = state.canonicalize(trigger.valuation)
+        if cd.is_td:
+            images = [alpha(v) for v in cd.conclusion if v in cd.body_values]
+            group = (position, tuple(images))
+        else:
+            group = (position, alpha(cd.left), alpha(cd.right))
+        keyed.append(((position, _valuation_key(alpha)), group))
+    keyed.sort(key=lambda pair: pair[0])
+    kept, groups = [], set()
+    for order, group in keyed:
+        if group not in groups:
+            groups.add(group)
+            kept.append(order)
+    return kept
+
+
+def test_kernel_round_order_matches_reference(monkeypatch, random_case):
+    """The kernel path's ordered, one-per-conclusion round equals the
+    reference ordering of the same triggers built as valuations.
+
+    Each round is checked twice: as the strategy found it, and the
+    previous round's triggers again, which are stale by then, so ordering
+    them canonicalizes ids through the merges of the round in between.
+    """
+    real = ChaseEngine._fair_order
+    seen = Counter()
+    previous = []
+
+    def checked(self, state, triggers):
+        triggers = list(triggers)
+        assert all(isinstance(t, KernelTrigger) for t in triggers)
+        for batch in (triggers, previous):
+            expected = _reference_round(state, batch, self._position)
+            fast = real(self, state, batch)
+            actual = [
+                (self._position(t.dependency)[0], _valuation_key(t.valuation))
+                for t in fast
+            ]
+            assert actual == expected
+            seen["dropped"] += len(batch) > len(fast)
+        seen["rounds"] += 1
+        seen["stale"] += any(t.round_key(0)[0] is not t for t in previous)
+        previous[:] = triggers
+        return real(self, state, triggers)
+
+    monkeypatch.setattr(ChaseEngine, "_fair_order", checked)
+    cases = [random_case(seed) for seed in range(8300, 8400)]
+    cases += [_non_total_case(seed) for seed in range(8400, 8460)]
+    for instance, deps, budget in cases:
+        previous.clear()
+        chase(instance, deps, budget=budget)
+    assert seen["rounds"] >= 500, dict(seen)
+    assert seen["dropped"] >= 50, dict(seen)
+    assert seen["stale"] >= 20, dict(seen)
 
 
 @pytest.mark.parametrize(

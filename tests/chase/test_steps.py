@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chase import chase
 from repro.chase.steps import (
     _choose_representative,
     apply_egd_step,
@@ -14,7 +15,9 @@ from repro.dependencies import EqualityGeneratingDependency, TemplateDependency
 from repro.model.attributes import Universe
 from repro.model.relations import Relation
 from repro.model.tuples import Row
-from repro.model.values import typed
+from repro.model.valuations import Valuation
+from repro.model.values import typed, untyped
+from repro.util.errors import SchemaError
 
 
 @pytest.fixture
@@ -78,6 +81,23 @@ class TestTdStep:
         # right tag, not one of the instance's values.
         assert new_row["A"].tag == "A"
         assert new_row["A"] not in mvd_counterexample.values()
+
+    @pytest.mark.parametrize("names", ["ABD", "AB"])
+    def test_td_over_another_universe_is_a_schema_error(self, abc, names):
+        """The step checks the conclusion's scheme against the tableau's."""
+        other = Universe.from_names(names)
+        body = Relation.untyped(other, [["x", "y", "z"][: len(names)]])
+        conclusion = Row.untyped_over(other, ["y", "x", "w"][: len(names)])
+        td = TemplateDependency(conclusion, body)
+        state = initial_state(Relation.untyped(abc, [["a", "b", "c"]]))
+        alpha = Valuation(
+            {value: untyped(value.name[0]) for value in body.values()}
+        )
+        with pytest.raises(SchemaError):
+            apply_td_step(state, td, alpha)
+        assert len(state.relation) == 1
+        with pytest.raises(SchemaError):
+            chase(state.relation, [td])
 
     def test_trigger_becomes_inactive_after_step(self, abc, mvd_td, mvd_counterexample):
         state = initial_state(mvd_counterexample)

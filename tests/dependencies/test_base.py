@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.dependencies import FunctionalDependency, MultivaluedDependency
+from repro.dependencies import (
+    FunctionalDependency,
+    JoinDependency,
+    MultivaluedDependency,
+    jd_to_td,
+)
 from repro.dependencies.base import all_satisfied, is_counterexample, violated
 from repro.model.attributes import Universe
 from repro.model.relations import Relation
@@ -42,6 +47,21 @@ def test_is_counterexample(relation):
     )
     # Not a counterexample when the conclusion holds.
     assert not is_counterexample(relation, premises, FunctionalDependency(["B"], ["C"]))
+
+
+def test_checked_counterexample_keeps_no_row_index(abc, relation):
+    """The td premise's homomorphism search leaves no index on the relation."""
+    premises = [jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), abc)]
+    conclusion = FunctionalDependency(["A"], ["B"])
+    assert not is_counterexample(relation, premises, conclusion)
+    assert relation._hom_index is None
+    model = Relation.typed(
+        abc, [["a", b, c] for b in ("b1", "b2") for c in ("c1", "c2")]
+    )
+    assert is_counterexample(model, premises, conclusion)
+    assert model._hom_index is None
+    assert premises[0].satisfied_by(model)
+    assert model._hom_index is not None
 
 
 def test_str_uses_describe():

@@ -1,7 +1,10 @@
 """Tests for rows (the paper's X-values and tuples)."""
 
+import sys
+
 import pytest
 
+import repro.model.tuples as tuples_module
 from repro.model.attributes import Universe
 from repro.model.tuples import Row
 from repro.model.values import typed, untyped
@@ -117,3 +120,38 @@ class TestOperations:
         data = row.as_dict()
         data.clear()
         assert len(row.as_dict()) == 3
+
+
+class TestOneObjectLayout:
+    """A row is one tuple of its values; its class carries the scheme."""
+
+    def test_row_never_equals_a_plain_tuple(self, abc):
+        row = Row.untyped_over(abc, ["a", "b", "c"])
+        plain = tuple(row)
+        assert plain == (untyped("a"), untyped("b"), untyped("c"))
+        assert not row == plain and not plain == row
+        assert row != plain and plain != row
+        assert plain not in {row} and row not in {plain}
+
+    def test_scheme_takes_part_in_equality(self):
+        ab = Row({"A": "x", "B": "y"})
+        ac = Row({"A": "x", "C": "y"})
+        assert tuple(ab) == tuple(ac)
+        assert not ab == ac and ab != ac
+        assert len({ab, ac}) == 2
+
+    def test_rows_over_one_scheme_share_a_class(self, abc):
+        first = Row.typed_over(abc, ["a", "b", "c"])
+        second = Row({"C": typed("c", "C"), "A": typed("a", "A"), "B": typed("b", "B")})
+        assert type(first) is type(second)
+        assert first.scheme is second.scheme
+        assert first == second
+        assert sys.getsizeof(first) == sys.getsizeof(tuple(first))
+
+    def test_rows_compare_schemes_not_classes(self, abc, monkeypatch):
+        row = Row.untyped_over(abc, ["a", "b", "c"])
+        monkeypatch.setattr(tuples_module, "_ROW_CLASSES", {})
+        rebuilt = Row.untyped_over(abc, ["a", "b", "c"])
+        assert type(rebuilt) is not type(row)
+        assert rebuilt == row and not rebuilt != row
+        assert hash(rebuilt) == hash(row)
