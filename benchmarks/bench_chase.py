@@ -54,7 +54,7 @@ head-to-head:
   durable delta log.  The deterministic column is round triggers per
   applied step, read from the logs' round and step records: a round keeps
   one trigger per conclusion, so it must stay <= 2.0 (CI gate; it read
-  8.1 when rounds listed every trigger).
+  8.3 when rounds listed every trigger).
 
 Every timing is the **median of ``REPEATS`` runs after one warmup run**, so
 the CI regression gates compare medians instead of single noisy

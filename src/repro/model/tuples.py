@@ -56,10 +56,7 @@ def row_class(names: tuple) -> type:
     Shared through a bounded intern: rows compare their schemes, never
     their classes, so a cleared table only costs a new class.
     """
-    found = _ROW_CLASSES.get(names)
-    if found is None:
-        found = intern(_ROW_CLASSES, names, _make_row_class, limit=_ROW_CLASS_LIMIT)
-    return found
+    return intern(_ROW_CLASSES, names, _make_row_class, limit=_ROW_CLASS_LIMIT)
 
 
 class Row(tuple):
@@ -253,7 +250,7 @@ class Row(tuple):
 
 def _rebuild_row(names: tuple, values: tuple) -> Row:
     """Unpickling entry point: finds the row class by attribute names."""
-    return tuple.__new__(_ROW_CLASSES.get(names) or row_class(names), values)
+    return tuple.__new__(row_class(names), values)
 
 
 def rows_over(names: tuple, cells: Iterable[tuple]) -> Iterator[Row]:

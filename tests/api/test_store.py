@@ -156,9 +156,7 @@ class TestFileOutcomeStore:
         [(_RaisesAttributeError(), AttributeError), (_OlderRowLayout(), TypeError)],
         ids=["raises", "older_row"],
     )
-    def test_entry_whose_load_raises_degrades_to_a_miss(
-        self, tmp_path, payload, error
-    ):
+    def test_entry_whose_load_raises_degrades_to_a_miss(self, tmp_path, payload, error):
         """Any error from unpickling is a miss, and the next put rewrites it."""
         store = FileOutcomeStore(str(tmp_path))
         (tmp_path / "s_k.pkl").write_bytes(pickle.dumps(("s:k", payload)))

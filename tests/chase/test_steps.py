@@ -90,9 +90,7 @@ class TestTdStep:
         conclusion = Row.untyped_over(other, ["y", "x", "w"][: len(names)])
         td = TemplateDependency(conclusion, body)
         state = initial_state(Relation.untyped(abc, [["a", "b", "c"]]))
-        alpha = Valuation(
-            {value: untyped(value.name[0]) for value in body.values()}
-        )
+        alpha = Valuation({value: untyped(value.name[0]) for value in body.values()})
         with pytest.raises(SchemaError):
             apply_td_step(state, td, alpha)
         assert len(state.relation) == 1
