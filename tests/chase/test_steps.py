@@ -71,6 +71,15 @@ class TestTdStep:
         assert delta.changed_rows == (delta.row,)
         assert not delta.is_noop
 
+    def test_equal_rows_of_two_chases_are_one_object(self, mvd_td, mvd_counterexample):
+        """Tableaux that outcomes keep share the rows their steps added."""
+        deltas = []
+        for _ in range(2):
+            state = initial_state(mvd_counterexample)
+            trigger = next(find_triggers(state, mvd_td))
+            deltas.append(apply_td_step(state, mvd_td, trigger.valuation))
+        assert deltas[0].row is deltas[1].row
+
     def test_fresh_values_for_existential_components(
         self, abc, simple_td, mvd_counterexample
     ):
