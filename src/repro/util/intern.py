@@ -1,8 +1,9 @@
 """Bounded interning of immutable model objects.
 
-Rows share their scheme tuple, dependencies their attribute sets, and
-chase tableaux their fresh null values, so results that caches keep for
-a long time do not each hold a copy.  Every table here is bounded: it is
+Rows share their per-scheme class, dependencies their attribute sets,
+and chase tableaux their fresh null values and the rows their steps
+add, so results that caches keep for a long time do not each hold a
+copy.  Every table here is bounded: it is
 cleared when it reaches its limit.  Interned objects compare by value,
 never by identity, so a cleared table, or two threads racing to fill it,
 only costs memory.
