@@ -182,10 +182,10 @@ def run_in_process(size):
 def run_service_roundtrip(size):
     """The same workload POSTed query-by-query to a live service.
 
-    ``batch_window=0`` so the column measures the socket/JSON hop, not a
-    deliberate coalescing wait.
+    Each batch goes out on the next event-loop turn, so the column measures
+    the socket/JSON hop.
     """
-    config = ServiceConfig(port=0, universe=UNIVERSE, batch_window=0.0)
+    config = ServiceConfig(port=0, universe=UNIVERSE)
     with serve_in_thread(config=config) as handle:
         host, port = handle.address
         with ServiceClient(host, port, client_id="bench") as client:
@@ -228,8 +228,6 @@ def run_fleet_burst(size, workers):
             str(workers),
             "--universe",
             UNIVERSE,
-            "--window-ms",
-            "0",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,

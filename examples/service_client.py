@@ -48,8 +48,6 @@ def spawn_service() -> subprocess.Popen:
             "0",
             "--universe",
             UNIVERSE,
-            "--window-ms",
-            "5",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -29,6 +29,14 @@ each tagged with a ``type``:
   log.  A log without a footer is an *orphan*: a crashed run the service
   layer resumes on startup.
 
+**Write failures.**  The log serves the chase, never the other way round:
+any ``OSError`` while writing (creating the directory or the file, the
+header, an append, a flush, the close) gives that run's log up.  The chase
+finishes without it, so neither its result nor a budget or deadline error
+carries a token; the partial file is removed (best effort) so orphan
+recovery does not resume a run that was already answered; and
+:func:`checkpoint_counters` counts the failure as ``write_errors``.
+
 **Resume.**  :func:`load_checkpoint` validates the log, restores the latest
 snapshot (or the initial instance), replays the post-snapshot step records
 through the real :func:`apply_td_step` / :func:`apply_egd_step` (verifying
@@ -46,6 +54,7 @@ registered migration path) fails loudly with
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -141,7 +150,11 @@ def migrate_record(record: dict, version: int) -> dict:
 
 
 class CheckpointCounters:
-    """Process-wide write/replay counters, surfaced in the service ``/metrics``."""
+    """Process-wide write/replay counters, surfaced in the service ``/metrics``.
+
+    ``write_errors`` counts the logs given up after a failed write (see the
+    module docstring); their runs finished without a token.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -150,6 +163,7 @@ class CheckpointCounters:
         self.snapshots_written = 0
         self.logs_replayed = 0
         self.steps_replayed = 0
+        self.write_errors = 0
 
     def bump(self, name: str, amount: int = 1) -> None:
         with self._lock:
@@ -163,6 +177,7 @@ class CheckpointCounters:
                 "snapshots_written": self.snapshots_written,
                 "logs_replayed": self.logs_replayed,
                 "steps_replayed": self.steps_replayed,
+                "write_errors": self.write_errors,
             }
 
     def reset(self) -> None:
@@ -172,6 +187,7 @@ class CheckpointCounters:
             self.snapshots_written = 0
             self.logs_replayed = 0
             self.steps_replayed = 0
+            self.write_errors = 0
 
 
 _counters = CheckpointCounters()
@@ -324,7 +340,8 @@ class CheckpointWriter:
     footer records flush immediately; round and step records stay buffered
     between those flush points (losing a buffered tail in a crash is
     harmless: resume restarts from the last surviving record and the chase
-    re-derives the same steps deterministically).
+    re-derives the same steps deterministically).  A failed write gives the
+    log up without raising (see the module docstring).
     """
 
     def __init__(
@@ -339,7 +356,6 @@ class CheckpointWriter:
         interval: int = 200,
         retention: int = 16,
     ) -> None:
-        os.makedirs(directory, exist_ok=True)
         self._directory = directory
         self._token = f"chase-{uuid.uuid4().hex}{LOG_SUFFIX}"
         self._path = os.path.join(directory, self._token)
@@ -362,7 +378,14 @@ class CheckpointWriter:
         self._retention = retention
         self._last_snapshot_steps = -1
         self._closed = False
-        self._file = open(self._path, "w", encoding="utf-8")
+        self._failed = False
+        self._file = None
+        try:
+            os.makedirs(directory, exist_ok=True)
+            self._file = open(self._path, "w", encoding="utf-8")
+        except OSError:
+            self._fail()
+            return
         self._append(
             {
                 "type": "header",
@@ -378,11 +401,16 @@ class CheckpointWriter:
             },
             flush=True,
         )
-        _counters.bump("logs_written")
+        if not self._failed:
+            _counters.bump("logs_written")
 
     @property
     def token(self) -> str:
-        """The log's basename -- the resumable token handed to callers."""
+        """The log's basename -- the resumable token handed to callers.
+
+        Only a log that :meth:`footer` sealed is resumable; its return value
+        is the token to hand out (``None`` once a write failed).
+        """
         return self._token
 
     @property
@@ -393,10 +421,27 @@ class CheckpointWriter:
     def _append(self, record: dict, flush: bool = False) -> None:
         if self._closed:
             return
-        self._file.write(_encode_record(record) + "\n")
-        if flush:
-            self._file.flush()
+        try:
+            self._file.write(_encode_record(record) + "\n")
+            if flush:
+                self._file.flush()
+        except OSError:
+            self._fail()
+            return
         _counters.bump("records_written")
+
+    def _fail(self) -> None:
+        """Give the log up after a failed write: count it, close, remove it."""
+        if self._failed:
+            return
+        self._failed = True
+        self._closed = True
+        _counters.bump("write_errors")
+        if self._file is not None:
+            with contextlib.suppress(OSError):
+                self._file.close()
+        with contextlib.suppress(OSError):
+            os.remove(self._path)
 
     def _position(self, dependency: ChaseDependency) -> int:
         cached = self._position_cache.get(id(dependency))
@@ -413,6 +458,8 @@ class CheckpointWriter:
         most the buffered tail of work, which torn-tail recovery simply
         re-does from the last surviving record.
         """
+        if self._closed:
+            return
         self._append(
             {
                 "type": "round",
@@ -437,6 +484,8 @@ class CheckpointWriter:
         delta,
     ) -> None:
         """Record one applied step (buffered)."""
+        if self._closed:
+            return
         self._append(
             {
                 "type": "step",
@@ -499,14 +548,19 @@ class CheckpointWriter:
         if steps % self._interval == 0:
             self.snapshot(state, steps, rounds, trace)
 
-    def footer(self, status: str, steps: int, rounds: int) -> None:
-        """Seal the log with its final status, close it, and apply retention."""
+    def footer(self, status: str, steps: int, rounds: int) -> Optional[str]:
+        """Seal the log with its final status, close it, and apply retention.
+
+        Returns the resumable token, or ``None`` when a write failed and the
+        log was given up.
+        """
         self._append(
             {"type": "footer", "status": status, "steps": steps, "rounds": rounds},
             flush=True,
         )
         self.close()
         self._prune()
+        return None if self._failed else self._token
 
     def close(self) -> None:
         """Flush and close the segment (idempotent; no footer is written).
@@ -518,8 +572,11 @@ class CheckpointWriter:
         if self._closed:
             return
         self._closed = True
-        self._file.flush()
-        self._file.close()
+        try:
+            self._file.flush()
+            self._file.close()
+        except OSError:
+            self._fail()
 
     def _prune(self) -> None:
         """Keep only the newest ``retention`` *completed* logs in the directory."""

@@ -476,8 +476,7 @@ class ChaseEngine:
         token = None
         if writer is not None:
             writer.snapshot(state, steps, rounds, trace)
-            token = writer.token
-            writer.footer(ChaseStatus.BUDGET_EXHAUSTED.value, steps, rounds)
+            token = writer.footer(ChaseStatus.BUDGET_EXHAUSTED.value, steps, rounds)
         error = ChaseDeadlineExceeded(
             f"chase deadline exceeded after {steps} steps "
             f"({len(state.relation)} rows)"
@@ -494,8 +493,9 @@ class ChaseEngine:
             token = None
             if writer is not None:
                 writer.snapshot(state, steps, rounds, trace)
-                token = writer.token
-                writer.footer(ChaseStatus.BUDGET_EXHAUSTED.value, steps, rounds)
+                token = writer.footer(
+                    ChaseStatus.BUDGET_EXHAUSTED.value, steps, rounds
+                )
             error = ChaseBudgetExceeded(
                 f"chase budget exhausted after {steps} steps "
                 f"({len(state.relation)} rows)"
@@ -523,8 +523,9 @@ class ChaseEngine:
                 # Always snapshot at exhaustion: resume then replays zero
                 # steps instead of up to ``interval`` of them.
                 writer.snapshot(state, steps, rounds, trace)
-                token = writer.token
-            writer.footer(status.value, steps, rounds)
+                token = writer.footer(status.value, steps, rounds)
+            else:
+                writer.footer(status.value, steps, rounds)
         canon = {value: state.find(value) for value in initial_values}
         result = ChaseResult(
             relation=state.relation,

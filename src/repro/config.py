@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Mapping, Optional
 
 from repro.util.errors import ReproError
@@ -120,6 +120,32 @@ def _check_bool(name: str, value) -> None:
         raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
+def _from_payload(cls, payload: Mapping, *, skip: tuple = (), **convert):
+    """Build the config dataclass ``cls`` from the fields ``payload`` sets.
+
+    Only the keys that are present become keyword arguments, so a missing
+    key takes its field's default: each default is written once, on the
+    dataclass field.  Keys that name no field -- knobs older releases wrote
+    and later retired -- are ignored, and so are the fields in ``skip``.
+    ``convert`` maps a field name to the function that loads its payload
+    value (a nested ``from_dict``, or the upgrade of a retired name).
+    """
+    kwargs = {
+        item.name: payload[item.name]
+        for item in fields(cls)
+        if item.name in payload and item.name not in skip
+    }
+    for name, load in convert.items():
+        if name in kwargs:
+            kwargs[name] = load(kwargs[name])
+    return cls(**kwargs)
+
+
+def _upgrade(retired: Mapping):
+    """A loader mapping a retired name onto its replacement (others unchanged)."""
+    return lambda name: retired.get(name, name)
+
+
 def _check_checkpoint_mode(name: str) -> None:
     if name not in CHECKPOINT_MODES:
         raise ConfigError(
@@ -191,12 +217,7 @@ class CheckpointConfig:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CheckpointConfig":
         """Rebuild a checkpoint config from :meth:`to_dict` output."""
-        return cls(
-            mode=payload.get("mode", "auto"),
-            interval=payload.get("interval", 200),
-            directory=payload.get("directory"),
-            retention=payload.get("retention", 16),
-        )
+        return _from_payload(cls, payload)
 
 
 def _check_strategy(name: str) -> None:
@@ -328,16 +349,16 @@ class ChaseBudget:
         checkpoint-log headers, ``SolverConfig`` and ``ServiceConfig``
         documents -- load as ``"incremental"``.  Their ``shard_count`` key,
         which configured the sharded strategy's workers, is ignored.  The
-        retired kernel mode ``"on"`` loads as ``"auto"`` the same way.
+        retired kernel mode ``"on"`` loads as ``"auto"`` the same way.  A
+        ``deadline`` key is ignored (see :meth:`to_dict`).
         """
-        strategy = payload.get("chase_strategy", "auto")
-        kernel = payload.get("chase_kernel", "auto")
-        return cls(
-            max_steps=payload.get("max_steps", 2000),
-            max_rows=payload.get("max_rows", 5000),
-            chase_strategy=_RETIRED_STRATEGIES.get(strategy, strategy),
-            chase_kernel=_RETIRED_KERNELS.get(kernel, kernel),
-            checkpoint=CheckpointConfig.from_dict(payload.get("checkpoint", {})),
+        return _from_payload(
+            cls,
+            payload,
+            skip=("deadline",),
+            chase_strategy=_upgrade(_RETIRED_STRATEGIES),
+            chase_kernel=_upgrade(_RETIRED_KERNELS),
+            checkpoint=CheckpointConfig.from_dict,
         )
 
 
@@ -376,11 +397,7 @@ class FiniteSearchBudget:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FiniteSearchBudget":
         """Rebuild a budget from :meth:`to_dict` output (missing keys default)."""
-        return cls(
-            max_rows=payload.get("max_rows", 3),
-            domain_size=payload.get("domain_size", 2),
-            max_candidates=payload.get("max_candidates"),
-        )
+        return _from_payload(cls, payload)
 
 
 #: The recognised problem-identity modes for outcome caching.  ``"auto"``
@@ -490,13 +507,7 @@ class CacheConfig:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CacheConfig":
         """Rebuild a cache config from :meth:`to_dict` output."""
-        return cls(
-            mode=payload.get("mode", "auto"),
-            store=payload.get("store", "auto"),
-            max_entries=payload.get("max_entries", 4096),
-            ttl=payload.get("ttl"),
-            shared_path=payload.get("shared_path"),
-        )
+        return _from_payload(cls, payload)
 
 
 @dataclass(frozen=True)
@@ -603,13 +614,12 @@ class SolverConfig:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SolverConfig":
         """Rebuild a configuration from :meth:`to_dict` output."""
-        return cls(
-            chase=ChaseBudget.from_dict(payload.get("chase", {})),
-            finite_search=FiniteSearchBudget.from_dict(
-                payload.get("finite_search", {})
-            ),
-            trace=payload.get("trace", False),
-            cache=CacheConfig.from_dict(payload.get("cache", {})),
+        return _from_payload(
+            cls,
+            payload,
+            chase=ChaseBudget.from_dict,
+            finite_search=FiniteSearchBudget.from_dict,
+            cache=CacheConfig.from_dict,
         )
 
 
@@ -628,12 +638,11 @@ class ServiceConfig:
         Listen address.  ``port=0`` binds an ephemeral port (the server
         reports the actual one), which is what the tests and the benchmark
         use.
-    batch_window:
-        How long (seconds) the request coalescer holds the first query of a
-        window open for companions before flushing the batch.  ``0`` flushes
-        every query immediately (coalescing only concurrent duplicates).
     max_batch_size:
-        A full window flushes early at this many distinct problems.
+        The most distinct problems in one coalesced batch.  The coalescer
+        batches the requests of one event-loop turn and dispatches them on
+        the next turn; a turn that submits more flushes a full batch at
+        once and opens the next.
     max_concurrent_batches:
         How many coalesced batches may be solving at once; the pool
         saturation gauge is ``in_flight / max_concurrent_batches``.
@@ -696,7 +705,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8642
-    batch_window: float = 0.005
     max_batch_size: int = 64
     max_concurrent_batches: int = 4
     per_client_in_flight: int = 8
@@ -717,7 +725,6 @@ class ServiceConfig:
         _check_int("port", self.port, 0)
         if self.port > 65535:
             raise ConfigError("a service config needs a port in [0, 65535]")
-        _check_float("batch_window", self.batch_window, 0)
         _check_int("max_batch_size", self.max_batch_size, 1)
         _check_int("max_concurrent_batches", self.max_concurrent_batches, 1)
         _check_int("per_client_in_flight", self.per_client_in_flight, 1)
@@ -749,7 +756,6 @@ class ServiceConfig:
         return {
             "host": self.host,
             "port": self.port,
-            "batch_window": self.batch_window,
             "max_batch_size": self.max_batch_size,
             "max_concurrent_batches": self.max_concurrent_batches,
             "per_client_in_flight": self.per_client_in_flight,
@@ -772,30 +778,11 @@ class ServiceConfig:
         """Rebuild a configuration from :meth:`to_dict` output.
 
         Unknown keys are ignored, so payloads written by older releases
-        still load (their ``processes`` key selected a retired pool).
+        still load: their ``processes`` key selected a retired pool, and
+        their coalescing-window key a retired wait (the coalescer now
+        dispatches each batch on the next event-loop turn).
         """
-        return cls(
-            host=payload.get("host", "127.0.0.1"),
-            port=payload.get("port", 8642),
-            batch_window=payload.get("batch_window", 0.005),
-            max_batch_size=payload.get("max_batch_size", 64),
-            max_concurrent_batches=payload.get("max_concurrent_batches", 4),
-            per_client_in_flight=payload.get("per_client_in_flight", 8),
-            drain_timeout=payload.get("drain_timeout", 30.0),
-            universe=payload.get("universe"),
-            solver=SolverConfig.from_dict(payload.get("solver", {})),
-            workers=payload.get("workers", 1),
-            worker_id=payload.get("worker_id", 0),
-            requests_per_second=payload.get("requests_per_second"),
-            burst=payload.get("burst"),
-            default_deadline_ms=payload.get("default_deadline_ms"),
-            access_log_path=payload.get("access_log_path"),
-            access_log_max_bytes=payload.get(
-                "access_log_max_bytes", 10 * 1024 * 1024
-            ),
-            access_log_backups=payload.get("access_log_backups", 3),
-            metrics_dir=payload.get("metrics_dir"),
-        )
+        return _from_payload(cls, payload, solver=SolverConfig.from_dict)
 
 
 def warn_legacy_kwargs(api_name: str, **named) -> None:

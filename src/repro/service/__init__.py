@@ -12,9 +12,9 @@ library:
   resume-by-token for checkpointed chases and, with checkpointing on,
   crash recovery of orphaned logs at startup), ``GET /healthz`` and
   ``GET /metrics``;
-* :class:`~repro.service.coalescer.RequestCoalescer` -- windows incoming
-  queries into ``solve_many`` batches and shares in-flight results between
-  clients asking the same question concurrently;
+* :class:`~repro.service.coalescer.RequestCoalescer` -- gathers the
+  queries of one event-loop turn into a ``solve_many`` batch and shares
+  in-flight results between clients asking the same question concurrently;
 * :class:`~repro.service.fairness.FairnessGate` -- a per-client in-flight
   budget, answered with 429-style backpressure when exceeded, so one heavy
   tenant cannot starve the rest;

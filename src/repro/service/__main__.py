@@ -50,10 +50,10 @@ def _parse(argv=None):
         "--universe", help="attribute names of the solver universe, e.g. ABCD"
     )
     parser.add_argument(
-        "--window-ms", type=float, help="coalescing window in milliseconds"
-    )
-    parser.add_argument(
-        "--max-batch", type=int, help="flush a window early at this many problems"
+        "--max-batch",
+        type=int,
+        help="most distinct problems in one batch; a loop turn that submits "
+        "more flushes a full batch at once",
     )
     parser.add_argument(
         "--max-concurrent-batches", type=int, help="batches solving at once"
@@ -144,8 +144,6 @@ def _parse(argv=None):
         overrides["port"] = args.port
     if args.universe is not None:
         overrides["universe"] = args.universe
-    if args.window_ms is not None:
-        overrides["batch_window"] = args.window_ms / 1000.0
     if args.max_batch is not None:
         overrides["max_batch_size"] = args.max_batch
     if args.max_concurrent_batches is not None:

@@ -1,21 +1,24 @@
-"""The request coalescer: windowed batching with cross-client result sharing.
+"""The request coalescer: tick batching with cross-client result sharing.
 
 Service traffic arrives one query at a time, but the solver's batch path
 (:meth:`repro.api.Solver.solve_many`) is at its best over *batches*:
 repeated problems dedup, shared premise sets normalise once, and dispatch
-amortises.  The coalescer reconciles the two shapes:
+amortises.  The coalescer reconciles the two shapes without making any
+query wait for companions:
 
-* the first query to arrive opens a **window** (``window`` seconds); every
-  query arriving within it joins the same batch, which flushes at the
-  window's end or as soon as it holds ``max_batch`` distinct problems;
+* the first query to arrive opens a batch and schedules its flush for the
+  next event-loop turn (``loop.call_soon``); every query submitted in the
+  same turn joins that batch, which flushes at once if it reaches
+  ``max_batch`` distinct problems first;
 * queries are keyed by a :class:`~repro.api.identity.ProblemIdentity`
   (the server passes its solver's identity function, so the coalescer
   dedups in the same syntactic/canonical regime as the cache below it):
-  duplicates *within* a window join the pending entry, duplicates of a
-  problem whose batch is already **in flight** await that batch's shared
-  future -- across clients, which is where multi-tenant traffic overlaps;
-  in canonical mode, renamed isomorphic queries from different tenants
-  collapse into one slot;
+  duplicates of a problem in the batch not yet dispatched join its pending
+  entry (a ``"window"`` join, a name kept from when batches waited a fixed
+  window), duplicates of a problem whose batch is already **in flight**
+  await that batch's shared future -- across clients, which is where
+  multi-tenant traffic overlaps; in canonical mode, renamed isomorphic
+  queries from different tenants collapse into one slot;
 * at most ``max_concurrent`` batches solve at once (a semaphore); the
   ``in_flight_batches`` gauge over that capacity is the service's
   saturation signal.
@@ -95,6 +98,9 @@ class _Slot:
 class CoalescerStats:
     """Lifetime counters describing how much coalescing actually happened.
 
+    ``window_joins`` counts joins into a batch that has not been
+    dispatched yet (one submitted in the same event-loop turn),
+    ``in_flight_joins`` joins into a batch that is already solving.
     ``canonical_hits``/``syntactic_hits`` split the joins
     (``window_joins + in_flight_joins``) by how they matched: a join whose
     statement differs from the slot opener's (a renamed isomorphic twin,
@@ -149,18 +155,16 @@ class CoalescerStats:
 
 
 class RequestCoalescer:
-    """Windows single queries into batches and shares in-flight results.
+    """Batches the queries of one event-loop turn and shares in-flight results.
 
     Parameters
     ----------
     dispatch:
         Async callable solving one batch; results must align positionally
         with the problems (exactly ``solve_many``'s contract).
-    window:
-        Seconds the first query of a batch waits for companions; ``0``
-        flushes immediately after the current event-loop turn.
     max_batch:
-        Flush early once this many *distinct* problems are pending.
+        The most *distinct* problems one batch holds: a turn that submits
+        more flushes a full batch at once and opens the next.
     max_concurrent:
         How many flushed batches may be solving at once.
     on_batch:
@@ -177,20 +181,16 @@ class RequestCoalescer:
         self,
         dispatch: Dispatch,
         *,
-        window: float = 0.005,
         max_batch: int = 64,
         max_concurrent: int = 4,
         on_batch: Optional[Callable[[int, int, int], None]] = None,
         identity: Optional[IdentityFn] = None,
     ) -> None:
-        if window < 0:
-            raise ValueError("a coalescer needs window >= 0")
         if max_batch < 1:
             raise ValueError("a coalescer needs max_batch >= 1")
         if max_concurrent < 1:
             raise ValueError("a coalescer needs max_concurrent >= 1")
         self._dispatch = dispatch
-        self._window = window
         self._max_batch = max_batch
         self._capacity = max_concurrent
         self._on_batch = on_batch
@@ -199,7 +199,7 @@ class RequestCoalescer:
         self.stats = CoalescerStats()
         self._pending: Dict[Hashable, _Slot] = {}
         self._in_flight: Dict[Hashable, _Slot] = {}
-        self._window_task: Optional[asyncio.Task] = None
+        self._flush_handle: Optional[asyncio.Handle] = None
         self._batch_tasks: set = set()
         self._gate: Optional[asyncio.Semaphore] = None
         self._solving = 0
@@ -224,10 +224,10 @@ class RequestCoalescer:
     ) -> ImplicationOutcome:
         """Queue one problem and await its outcome.
 
-        Duplicate problems (same identity) share one slot: within the open
-        window they join the pending entry, and while a batch is solving
-        they await its shared future.  Waiter cancellation never cancels
-        the shared future (other clients may be waiting on it).
+        Duplicate problems (same identity) share one slot: in the batch not
+        yet dispatched they join the pending entry, and while a batch is
+        solving they await its shared future.  Waiter cancellation never
+        cancels the shared future (other clients may be waiting on it).
 
         ``deadline`` is an absolute ``time.monotonic()`` instant after
         which this waiter no longer cares; the batch is dispatched with
@@ -237,7 +237,8 @@ class RequestCoalescer:
         extend its deadline.  ``info``, when given, is annotated in place
         with the join class (``leader``/``window``/``in_flight``) and --
         once the batch completes -- its ``batch_id``, ``batch_size``,
-        ``queue_s`` and ``solve_s``, for the server's access log.
+        ``queue_s`` (submission to dispatch: one loop turn, plus any wait
+        for a free batch slot) and ``solve_s``, for the server's access log.
         """
         if self._closed:
             raise RuntimeError("this RequestCoalescer is draining/closed")
@@ -275,22 +276,18 @@ class RequestCoalescer:
         self._pending[key] = slot
         if len(self._pending) >= self._max_batch:
             self._flush(loop)
-        elif self._window_task is None:
-            self._window_task = loop.create_task(self._window_timer(loop))
+        elif self._flush_handle is None:
+            self._flush_handle = loop.call_soon(self._flush, loop)
         return await asyncio.shield(future)
 
     async def drain(self) -> None:
-        """Flush the open window and wait for every in-flight batch.
+        """Flush the batch not yet dispatched and wait for every in-flight one.
 
         After a drain the coalescer rejects new submissions; this is the
         service's graceful-shutdown path.
         """
         self._closed = True
-        if self._window_task is not None:
-            self._window_task.cancel()
-            self._window_task = None
-        if self._pending:
-            self._flush(asyncio.get_running_loop())
+        self._flush(asyncio.get_running_loop())
         while self._batch_tasks:
             await asyncio.gather(*tuple(self._batch_tasks), return_exceptions=True)
 
@@ -309,18 +306,10 @@ class RequestCoalescer:
         else:
             self.stats.syntactic_hits += 1
 
-    async def _window_timer(self, loop: asyncio.AbstractEventLoop) -> None:
-        try:
-            await asyncio.sleep(self._window)
-        except asyncio.CancelledError:
-            return
-        self._window_task = None
-        self._flush(loop)
-
     def _flush(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self._window_task is not None:
-            self._window_task.cancel()
-            self._window_task = None
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
         if not self._pending:
             return
         batch, self._pending = self._pending, {}

@@ -7,7 +7,8 @@ on nothing but the standard library:
   (:mod:`repro.service.protocol`); requests flow through the per-client
   :class:`~repro.service.fairness.FairnessGate` (429 ``overloaded`` beyond
   the budget) and the :class:`~repro.service.coalescer.RequestCoalescer`
-  (windowed ``solve_many`` batches, cross-client result sharing);
+  (one ``solve_many`` batch per event-loop turn, cross-client result
+  sharing);
 * ``GET /healthz`` -- liveness plus the drain state;
 * ``GET /metrics`` -- the :class:`~repro.service.metrics.MetricsRegistry`
   snapshot, the solver's lifetime :class:`~repro.api.batch.BatchStats`,
@@ -24,7 +25,7 @@ pool inside one service.
 
 **Graceful drain.**  :meth:`SolverService.drain` stops accepting
 connections, answers late requests on kept-alive connections with 503
-``draining``, flushes the open coalescing window, waits (bounded by
+``draining``, flushes the batch not yet dispatched, waits (bounded by
 ``drain_timeout``) for in-flight batches and responses to finish, and
 finally closes surviving idle connections.  ``python -m repro.service``
 wires SIGTERM/SIGINT to exactly this path.
@@ -239,7 +240,6 @@ class SolverService:
         self._stop_event = asyncio.Event()
         self._coalescer = RequestCoalescer(
             self._dispatch,
-            window=self._config.batch_window,
             max_batch=self._config.max_batch_size,
             max_concurrent=self._config.max_concurrent_batches,
             on_batch=self._observe_batch,
@@ -653,6 +653,11 @@ class SolverService:
                 **checkpoint_counters().to_dict(),
             },
             "fairness": self._fairness.snapshot(),
+            **(
+                {"access_log": self._access_log.snapshot()}
+                if self._access_log is not None
+                else {}
+            ),
             **(
                 {"ratelimit": self._ratelimit.snapshot()}
                 if self._ratelimit is not None

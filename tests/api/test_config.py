@@ -188,9 +188,9 @@ class TestNumberAndFlagFields:
     @pytest.mark.parametrize(
         "document",
         [
-            {"batch_window": "0.005"},
-            {"batch_window": True},
-            {"batch_window": -0.1},
+            {"drain_timeout": True},
+            {"requests_per_second": float("nan")},
+            {"solver": {"cache": {"ttl": True}}},
             {"drain_timeout": "30"},
             {"drain_timeout": 0},
             {"drain_timeout": float("nan")},
@@ -217,13 +217,12 @@ class TestNumberAndFlagFields:
 
         config = ServiceConfig.from_dict(
             {
-                "batch_window": 0,
                 "drain_timeout": 2.5,
                 "requests_per_second": 10,
                 "solver": {"trace": True, "cache": {"ttl": 0.5}},
             }
         )
-        assert config.batch_window == 0
+        assert config.drain_timeout == 2.5
         assert config.requests_per_second == 10
         assert config.solver.trace is True
         assert config.solver.cache.ttl == 0.5
@@ -322,7 +321,7 @@ class TestServiceConfig:
         config = ServiceConfig(
             port=0,
             universe="ABCD",
-            batch_window=0.02,
+            max_batch_size=8,
             solver=SolverConfig(chase=ChaseBudget(max_steps=10, max_rows=50)),
         )
         rebuilt = ServiceConfig.from_dict(json.loads(json.dumps(config.to_dict())))
@@ -334,6 +333,15 @@ class TestServiceConfig:
 
         # Every older to_dict wrote a processes key; those files still load.
         payload = {**ServiceConfig(port=0).to_dict(), "processes": 4}
+        assert ServiceConfig.from_dict(payload) == ServiceConfig(port=0)
+
+    def test_from_dict_ignores_the_retired_window_key(self):
+        from repro.config import ServiceConfig
+
+        # Older to_dict output carried the coalescing window; it loads, and
+        # the service dispatches each batch on the next event-loop turn.
+        assert ServiceConfig.from_dict({"batch_window": 0.005}) == ServiceConfig()
+        payload = {**ServiceConfig(port=0).to_dict(), "batch_window": 0.25}
         assert ServiceConfig.from_dict(payload) == ServiceConfig(port=0)
 
     def test_is_frozen_and_hashable(self):
@@ -349,7 +357,7 @@ class TestServiceConfig:
         [
             {"port": -1},
             {"port": 70000},
-            {"batch_window": -0.1},
+            {"access_log_max_bytes": 512},
             {"max_batch_size": 0},
             {"max_concurrent_batches": 0},
             {"per_client_in_flight": 0},
@@ -362,6 +370,99 @@ class TestServiceConfig:
 
         with pytest.raises(ConfigError):
             ServiceConfig(**kwargs)
+
+
+def _config_samples():
+    """Each config class beside an instance with no serialized field at default."""
+    from repro.config import CacheConfig, CheckpointConfig, ServiceConfig
+
+    checkpoint = CheckpointConfig(
+        mode="on", interval=7, directory="/srv/ckpt", retention=3
+    )
+    chase_budget = ChaseBudget(
+        max_steps=11,
+        max_rows=13,
+        chase_strategy="rescan",
+        chase_kernel="off",
+        checkpoint=checkpoint,
+    )
+    finite = FiniteSearchBudget(max_rows=2, domain_size=3, max_candidates=50)
+    cache = CacheConfig(
+        mode="canonical",
+        store="shared",
+        max_entries=9,
+        ttl=1.5,
+        shared_path="/srv/store",
+    )
+    solver = SolverConfig(
+        chase=chase_budget, finite_search=finite, trace=True, cache=cache
+    )
+    service = ServiceConfig(
+        host="0.0.0.0",
+        port=0,
+        max_batch_size=5,
+        max_concurrent_batches=2,
+        per_client_in_flight=3,
+        drain_timeout=1.5,
+        universe="ABCD",
+        solver=solver,
+        workers=2,
+        worker_id=1,
+        requests_per_second=4.0,
+        burst=6,
+        default_deadline_ms=250,
+        access_log_path="/srv/access.jsonl",
+        access_log_max_bytes=4096,
+        access_log_backups=2,
+        metrics_dir="/srv/metrics",
+    )
+    return [
+        (CheckpointConfig, checkpoint),
+        (ChaseBudget, chase_budget),
+        (FiniteSearchBudget, finite),
+        (CacheConfig, cache),
+        (SolverConfig, solver),
+        (ServiceConfig, service),
+    ]
+
+
+CONFIG_SAMPLES = _config_samples()
+
+
+class TestFromDictDefaults:
+    """Each default lives on its dataclass field alone.
+
+    ``from_dict`` passes only the keys a payload sets, so an empty payload
+    is the default object and a full one round-trips, for all six classes.
+    """
+
+    @pytest.mark.parametrize(
+        "cls, sample",
+        CONFIG_SAMPLES,
+        ids=[cls.__name__ for cls, _ in CONFIG_SAMPLES],
+    )
+    def test_empty_payload_is_the_default_and_to_dict_round_trips(self, cls, sample):
+        import json
+
+        assert cls.from_dict({}) == cls()
+        assert cls.from_dict(cls().to_dict()) == cls()
+        assert sample != cls()  # every serialized field is off its default
+        assert cls.from_dict(sample.to_dict()) == sample
+        assert cls.from_dict(json.loads(json.dumps(sample.to_dict()))) == sample
+
+    def test_nested_payloads_keep_their_own_defaults(self):
+        from repro.config import CheckpointConfig, ServiceConfig
+
+        config = ServiceConfig.from_dict(
+            {"solver": {"chase": {"checkpoint": {"interval": 9}}}}
+        )
+        assert config.solver.chase.checkpoint == CheckpointConfig(interval=9)
+        assert config.solver.chase.max_steps == ChaseBudget().max_steps
+        assert config.solver.cache == SolverConfig().cache
+        assert config.max_batch_size == ServiceConfig().max_batch_size
+
+    def test_runtime_deadline_never_loads(self):
+        assert ChaseBudget.from_dict({"deadline": 12.5}) == ChaseBudget()
 
 
 class TestCheckpointConfig:

@@ -168,7 +168,6 @@ class TestServiceLayer:
         config = ServiceConfig(
             port=0,
             universe=ABCD_NAMES,
-            batch_window=0.002,
             solver=SolverConfig().with_cache(mode="syntactic", store="memory"),
         )
         with serve_in_thread(config=config) as handle:

@@ -67,7 +67,6 @@ class TestServiceAccessLog:
         config = ServiceConfig(
             port=0,
             universe="ABC",
-            batch_window=0.001,
             access_log_path=str(log_path),
             requests_per_second=0.001,
             burst=2,
@@ -110,7 +109,7 @@ class TestServiceAccessLog:
         assert "batch_id" not in by_status[429]
 
     def test_no_path_means_no_log(self, tmp_path):
-        config = ServiceConfig(port=0, universe="ABC", batch_window=0.001)
+        config = ServiceConfig(port=0, universe="ABC")
         with serve_in_thread(config=config) as handle:
             host, port = handle.address
             with ServiceClient(host, port, client_id="quiet") as client:

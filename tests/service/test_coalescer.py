@@ -1,4 +1,10 @@
-"""Tests for the request coalescer: windowing, dedup, backpressure, drain."""
+"""Tests for the request coalescer: tick batching, dedup, backpressure, drain.
+
+The coalescer dispatches each batch on the next event-loop turn.  The
+queries of one turn form the batch the test names call the window (and
+``CoalescerStats.window_joins`` counts joins into it); ``asyncio.gather``
+over several ``submit`` calls starts them all in the same turn.
+"""
 
 import asyncio
 
@@ -43,9 +49,10 @@ def run(coro):
 
 class TestBatching:
     def test_queries_in_one_window_share_one_batch(self):
+        # Submitted in one event-loop turn, so dispatched as one batch.
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        coalescer = RequestCoalescer(dispatch, window=0.02, max_batch=64)
+        coalescer = RequestCoalescer(dispatch, max_batch=64)
 
         async def scenario():
             problems = make_problems(solver, 2)
@@ -64,25 +71,27 @@ class TestBatching:
     def test_full_batch_flushes_before_the_window_closes(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        # A window long enough that only the max_batch early flush explains
-        # the dispatch happening.
-        coalescer = RequestCoalescer(dispatch, window=30.0, max_batch=2)
+        # Three distinct problems in one turn: only the max_batch early
+        # flush explains a first batch that stops at two.
+        coalescer = RequestCoalescer(dispatch, max_batch=2)
 
         async def scenario():
-            problems = make_problems(solver, 2)
+            third = solver.problem(["B -> C"], "B ->> C")
+            problems = make_problems(solver, 2) + [third]
             return await asyncio.wait_for(
                 asyncio.gather(*(coalescer.submit(p) for p in problems)),
                 timeout=5.0,
             )
 
         outcomes = run(scenario())
-        assert len(outcomes) == 2
+        assert len(outcomes) == 3
+        assert [len(batch) for batch in dispatch.batches] == [2, 1]
         assert coalescer.stats.largest_batch == 2
 
     def test_results_align_with_their_problems(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        coalescer = RequestCoalescer(dispatch, window=0.01, max_batch=64)
+        coalescer = RequestCoalescer(dispatch, max_batch=64)
 
         async def scenario():
             implied = solver.problem(["A -> B"], "A ->> B")
@@ -100,7 +109,7 @@ class TestDedup:
     def test_window_duplicates_join_one_slot(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        coalescer = RequestCoalescer(dispatch, window=0.02, max_batch=64)
+        coalescer = RequestCoalescer(dispatch, max_batch=64)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A ->> B")
@@ -119,12 +128,12 @@ class TestDedup:
     def test_in_flight_duplicates_await_the_running_batch(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver, delay=0.05)
-        coalescer = RequestCoalescer(dispatch, window=0.0, max_batch=64)
+        coalescer = RequestCoalescer(dispatch, max_batch=64)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A ->> B")
             first = asyncio.ensure_future(coalescer.submit(problem))
-            # Let the zero-width window flush and the batch start solving.
+            # Let the next turn flush the batch and the batch start solving.
             await asyncio.sleep(0.02)
             assert coalescer.in_flight_batches == 1
             second = asyncio.ensure_future(coalescer.submit(problem))
@@ -147,7 +156,6 @@ class TestBackpressureAndFailure:
 
         coalescer = RequestCoalescer(
             dispatch,
-            window=0.0,
             max_batch=1,
             max_concurrent=2,
             on_batch=lambda size, solving, cap: observed.append((solving, cap)),
@@ -171,7 +179,7 @@ class TestBackpressureAndFailure:
     def test_dispatch_failure_propagates_to_every_waiter(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver, fail=True)
-        coalescer = RequestCoalescer(dispatch, window=0.01, max_batch=64)
+        coalescer = RequestCoalescer(dispatch, max_batch=64)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A ->> B")
@@ -187,7 +195,7 @@ class TestBackpressureAndFailure:
     def test_waiter_cancellation_spares_the_other_waiters(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver, delay=0.05)
-        coalescer = RequestCoalescer(dispatch, window=0.0, max_batch=64)
+        coalescer = RequestCoalescer(dispatch, max_batch=64)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A ->> B")
@@ -207,14 +215,18 @@ class TestDrain:
     def test_drain_flushes_the_open_window(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        # A window so long that only drain() explains the flush.
-        coalescer = RequestCoalescer(dispatch, window=30.0, max_batch=64)
+        coalescer = RequestCoalescer(dispatch, max_batch=64)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A ->> B")
             pending = asyncio.ensure_future(coalescer.submit(problem))
-            await asyncio.sleep(0.01)
+            # One yield: the submission opens a batch whose flush waits for
+            # the next turn, and drain() runs first.
+            await asyncio.sleep(0)
+            assert dispatch.batches == []
             await coalescer.drain()
+            # Only drain() flushed and awaited the batch before returning.
+            assert len(dispatch.batches) == 1
             return await pending
 
         assert run(scenario()).is_implied()
@@ -223,7 +235,7 @@ class TestDrain:
     def test_submissions_after_drain_are_rejected(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        coalescer = RequestCoalescer(dispatch, window=0.0)
+        coalescer = RequestCoalescer(dispatch)
 
         async def scenario():
             await coalescer.drain()
@@ -237,8 +249,6 @@ class TestDrain:
             return []
 
         with pytest.raises(ValueError):
-            RequestCoalescer(dispatch, window=-1.0)
-        with pytest.raises(ValueError):
             RequestCoalescer(dispatch, max_batch=0)
         with pytest.raises(ValueError):
             RequestCoalescer(dispatch, max_concurrent=0)
@@ -250,7 +260,7 @@ class TestStats:
     def test_window_repeats_are_syntactic_hits(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        coalescer = RequestCoalescer(dispatch, window=0.02)
+        coalescer = RequestCoalescer(dispatch)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A ->> B")
@@ -272,9 +282,7 @@ class TestStats:
             use_cache=False,
         )
         dispatch = RecordingDispatch(solver)
-        coalescer = RequestCoalescer(
-            dispatch, window=0.02, identity=solver.identity
-        )
+        coalescer = RequestCoalescer(dispatch, identity=solver.identity)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A -> C")
@@ -291,7 +299,7 @@ class TestStats:
     def test_failed_batches_count_as_evictions(self):
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver, fail=True)
-        coalescer = RequestCoalescer(dispatch, window=0.0)
+        coalescer = RequestCoalescer(dispatch)
 
         async def scenario():
             with pytest.raises(RuntimeError):
@@ -305,7 +313,7 @@ class TestStats:
 
         solver = Solver(universe=UNIVERSE, use_cache=False)
         dispatch = RecordingDispatch(solver)
-        coalescer = RequestCoalescer(dispatch, window=0.01)
+        coalescer = RequestCoalescer(dispatch)
 
         async def scenario():
             problem = solver.problem(["A -> B"], "A ->> B")

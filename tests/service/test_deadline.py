@@ -22,7 +22,7 @@ from repro.api import Solver, SolverConfig
 from repro.config import ChaseBudget, ServiceConfig
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import serve_in_thread
+from repro.service.server import SolverService, serve_in_thread
 from repro.util.errors import ChaseBudgetExceeded, ChaseDeadlineExceeded
 
 #: The undecidability chain: an existential td that never terminates on its
@@ -87,16 +87,12 @@ class TestEngineDeadline:
 
 
 class TestServiceDeadline:
-    def test_expired_request_is_504_and_frees_the_fairness_slot(self):
-        # A wide coalescing window guarantees the 1 ms deadline expires in
-        # the queue, deterministically, regardless of solve speed.
-        config = ServiceConfig(
-            port=0,
-            universe="ABC",
-            batch_window=0.25,
-            per_client_in_flight=1,
-        )
-        with serve_in_thread(config=config) as handle:
+    def test_expired_request_is_504_and_frees_the_fairness_slot(self, held_solver):
+        # Every batch is held 250 ms, so the 1 ms deadline expires in
+        # flight, deterministically, regardless of solve speed.
+        config = ServiceConfig(port=0, universe="ABC", per_client_in_flight=1)
+        service = SolverService(held_solver(0.25, universe="ABC"), config=config)
+        with serve_in_thread(service) as handle:
             host, port = handle.address
             with ServiceClient(host, port, client_id="hurried") as client:
                 with pytest.raises(ServiceError) as excinfo:
@@ -108,14 +104,10 @@ class TestServiceDeadline:
                 outcome = client.solve(["A -> B", "B -> C"], "A -> C")
                 assert outcome["verdict"] == "implied"
 
-    def test_server_default_deadline_applies_without_client_opt_in(self):
-        config = ServiceConfig(
-            port=0,
-            universe="ABC",
-            batch_window=0.25,
-            default_deadline_ms=1,
-        )
-        with serve_in_thread(config=config) as handle:
+    def test_server_default_deadline_applies_without_client_opt_in(self, held_solver):
+        config = ServiceConfig(port=0, universe="ABC", default_deadline_ms=1)
+        service = SolverService(held_solver(0.25, universe="ABC"), config=config)
+        with serve_in_thread(service) as handle:
             host, port = handle.address
             with ServiceClient(host, port, client_id="defaulted") as client:
                 with pytest.raises(ServiceError) as excinfo:
@@ -124,12 +116,12 @@ class TestServiceDeadline:
                 assert excinfo.value.code == protocol.ERROR_DEADLINE_EXCEEDED
 
     def test_deadline_cuts_a_running_chase_and_frees_its_batch(self):
-        # batch_window=0 dispatches at once, so the deadline expires inside
-        # the chase, whose step budget 300 ms cannot come close to using up.
+        # The batch is dispatched on the next loop turn, so the deadline
+        # expires inside the chase, whose step budget 300 ms cannot come
+        # close to using up.
         config = ServiceConfig(
             port=0,
             universe="AB",
-            batch_window=0,
             solver=SolverConfig(
                 chase=ChaseBudget(max_steps=10**6, max_rows=10**6)
             ),
@@ -150,7 +142,7 @@ class TestServiceDeadline:
                 assert coalescer.in_flight_batches == 0
 
     def test_generous_deadline_does_not_disturb_the_answer(self):
-        config = ServiceConfig(port=0, universe="ABC", batch_window=0.001)
+        config = ServiceConfig(port=0, universe="ABC")
         with serve_in_thread(config=config) as handle:
             host, port = handle.address
             with ServiceClient(host, port, client_id="patient") as client:

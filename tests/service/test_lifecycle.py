@@ -52,7 +52,7 @@ def wait_for_address(process, timeout=20.0):
 
 class TestSigtermDrain:
     def test_sigterm_drains_cleanly_after_serving_traffic(self):
-        process = spawn_service("--universe", "ABC", "--window-ms", "2")
+        process = spawn_service("--universe", "ABC")
         try:
             host, port = wait_for_address(process)
             with ServiceClient(host, port, client_id="lifecycle") as client:
@@ -100,8 +100,6 @@ class TestCli:
                 "9000",
                 "--universe",
                 "ABCD",
-                "--window-ms",
-                "20",
                 "--max-batch",
                 "8",
                 "--max-concurrent-batches",
@@ -115,7 +113,6 @@ class TestCli:
         assert config.host == "0.0.0.0"
         assert config.port == 9000
         assert config.universe == "ABCD"
-        assert config.batch_window == pytest.approx(0.02)
         assert config.max_batch_size == 8
         assert config.max_concurrent_batches == 2
         assert config.per_client_in_flight == 3
@@ -126,6 +123,14 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             build_config(["--processes", "2"])
         assert excinfo.value.code == 2
+
+    def test_retired_window_flag_is_a_usage_error(self, capsys):
+        # Batches go out on the next event-loop turn; there is no window to
+        # set, and argparse exits with 2.
+        with pytest.raises(SystemExit) as excinfo:
+            build_config(["--window-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "--window-ms" in capsys.readouterr().err
 
     def test_config_file_with_flag_overrides(self, tmp_path):
         path = tmp_path / "service.json"
@@ -149,13 +154,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "document, message",
         [
-            ({"batch_window": "0.005"}, "batch_window must be a number"),
             ({"drain_timeout": "30"}, "drain_timeout must be a number"),
             ({"requests_per_second": "5"}, "requests_per_second must be None or"),
             ({"solver": {"cache": {"ttl": "60"}}}, "ttl must be None or"),
             ({"solver": {"trace": "no"}}, "trace must be true or false"),
         ],
-        ids=["batch_window", "drain_timeout", "requests_per_second", "ttl", "trace"],
+        ids=["drain_timeout", "requests_per_second", "ttl", "trace"],
     )
     def test_mistyped_config_file_values_are_usage_errors(
         self, tmp_path, capsys, document, message

@@ -124,7 +124,6 @@ class TestServiceRateLimiting:
         config = ServiceConfig(
             port=0,
             universe="ABC",
-            batch_window=0.001,
             requests_per_second=0.001,  # effectively no refill mid-test
             burst=3,
         )

@@ -34,7 +34,6 @@ def live():
     config = ServiceConfig(
         port=0,
         universe="ABCD",
-        batch_window=0.002,
         solver=SolverConfig().with_cache(store="memory"),
     )
     with serve_in_thread(config=config) as handle:
@@ -264,7 +263,6 @@ class TestFairness:
         config = ServiceConfig(
             port=0,
             universe="ABC",
-            batch_window=0.01,
             per_client_in_flight=2,
             max_concurrent_batches=4,
         )
@@ -282,15 +280,17 @@ class TestFairness:
             saturation = handle.service.metrics.gauge("pool_saturation")
             assert saturation.labels().high_water <= 2 / 4
 
-    def test_neighbour_p50_stays_within_2x_of_solo_baseline(self):
+    def test_neighbour_p50_stays_within_2x_of_solo_baseline(self, held_solver):
+        # Every batch is held 50 ms, so the flood's four threads keep more
+        # requests in flight than its cap of two, whatever a solve costs.
         config = ServiceConfig(
             port=0,
             universe="ABC",
-            batch_window=0.05,
             per_client_in_flight=2,
             max_concurrent_batches=4,
         )
-        with serve_in_thread(config=config) as handle:
+        service = SolverService(held_solver(0.05, universe="ABC"), config=config)
+        with serve_in_thread(service) as handle:
             host, port = handle.address
 
             def measure(client, rounds=10):

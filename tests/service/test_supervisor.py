@@ -200,7 +200,7 @@ def assert_all_dead(pids):
 
 class TestFleetLifecycle:
     def test_two_workers_serve_one_port_and_drain_without_leaks(self):
-        process = spawn_fleet("--universe", "ABC", "--window-ms", "2")
+        process = spawn_fleet("--universe", "ABC")
         watcher = StderrWatcher(process)
         try:
             pids = watcher.wait_for_ready(2)
@@ -218,7 +218,7 @@ class TestFleetLifecycle:
         assert_all_dead(pids)
 
     def test_killed_worker_is_respawned(self):
-        process = spawn_fleet("--universe", "ABC", "--window-ms", "2")
+        process = spawn_fleet("--universe", "ABC")
         watcher = StderrWatcher(process)
         try:
             first_pids = watcher.wait_for_ready(2)
@@ -250,9 +250,7 @@ class TestSharedOutcomeStore:
         )
 
         def worker_config():
-            return ServiceConfig(
-                port=0, universe="ABC", batch_window=0.001, solver=shared
-            )
+            return ServiceConfig(port=0, universe="ABC", solver=shared)
 
         with serve_in_thread(config=worker_config()) as one:
             with serve_in_thread(config=worker_config()) as two:
