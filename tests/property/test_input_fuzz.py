@@ -37,12 +37,14 @@ json_scalars = (
     | st.floats(allow_nan=False)
     | st.text(max_size=12)
 )
-json_values = st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=12,
-)
+
+
+def json_containers(children):
+    lists = st.lists(children, max_size=4)
+    return lists | st.dictionaries(st.text(max_size=8), children, max_size=4)
+
+
+json_values = st.recursive(json_scalars, json_containers, max_leaves=12)
 
 #: Values a real client sends for each envelope field, beside junk.
 FIELDS = {
