@@ -3,8 +3,8 @@
 Three pieces:
 
 * **config objects** (:class:`ChaseBudget`, :class:`FiniteSearchBudget`,
-  :class:`SolverConfig`) -- frozen, hashable budgets replacing the historical
-  keyword soup;
+  :class:`SolverConfig`) -- frozen, hashable budgets, the one way every
+  entry point takes its limits;
 * **the dependency DSL** (:func:`parse_dependency`,
   :func:`parse_dependency_set`, :func:`describe_dependency`) -- compact text
   for fds, mvds, jds/pjds and tagged td/egd tableaux, with a parse/describe
@@ -41,7 +41,7 @@ from repro.api.dsl import (
     parse_dependency,
     parse_dependency_set,
 )
-from repro.api.identity import ProblemIdentity, identity_of, problem_key
+from repro.api.identity import ProblemIdentity, identity_of
 from repro.api.solver import Solver, solve_one
 from repro.api.store import (
     FileOutcomeStore,
@@ -97,7 +97,6 @@ __all__ = [
     "DEFAULT_MAX_IN_FLIGHT",
     "BatchRunStats",
     "BatchStats",
-    "problem_key",
     "solve_problems",
     "ProblemIdentity",
     "identity_of",

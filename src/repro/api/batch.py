@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
-from repro.api.identity import ProblemIdentity, problem_key  # noqa: F401  (re-export)
+from repro.api.identity import ProblemIdentity
 from repro.implication.problem import ImplicationOutcome, ImplicationProblem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers

@@ -1,12 +1,9 @@
 """Problem identity: the one key object behind every dedup layer.
 
-Before this module existed, ``problem_key`` -- a bare tuple of
-``(premises, conclusion, finite)`` -- was computed independently by the
-batch memoizer, the async in-flight table and the service coalescer, each
-with its own hit accounting and no way to share entries across processes
-(dependency objects don't have stable cross-process hashes).
-
-:class:`ProblemIdentity` replaces all of those call sites.  It carries
+The batch memoizer, the async in-flight table and the service coalescer
+all key on :class:`ProblemIdentity`, so they share one hit accounting and,
+through string keys, entries across processes (dependency objects don't
+have stable cross-process hashes).  An identity carries
 
 * ``cache_key`` -- a stable string the store indexes by: the syntactic
   digest in ``syntactic`` mode, the renaming-invariant canonical digest of
@@ -23,9 +20,7 @@ mode is on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.implication.problem import ImplicationProblem
 from repro.model.canon import CanonicalizationError, canonical_key, syntactic_key
@@ -101,20 +96,4 @@ def identity_of(
     return ProblemIdentity("syntactic", fingerprint, fingerprint)
 
 
-def problem_key(problem: ImplicationProblem) -> Tuple:
-    """The legacy memoization key (deprecated).
-
-    Kept so external callers of ``repro.api.problem_key`` keep working;
-    the dedup layers themselves now route through :func:`identity_of`,
-    whose string keys are stable across processes.
-    """
-    warnings.warn(
-        "problem_key is deprecated; use repro.api.identity.identity_of "
-        "(or Solver.identity) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return (problem.premises, problem.conclusion, problem.finite)
-
-
-__all__ = ["IDENTITY_MODES", "ProblemIdentity", "identity_of", "problem_key"]
+__all__ = ["IDENTITY_MODES", "ProblemIdentity", "identity_of"]

@@ -182,18 +182,14 @@ class Solver:
         return identity
 
     def _coerce_identity(self, key) -> ProblemIdentity:
-        """Accept an identity, a problem, or the legacy key tuple."""
+        """Accept an identity or a problem."""
         if isinstance(key, ProblemIdentity):
             return key
         if isinstance(key, ImplicationProblem):
             return self.identity(key)
-        if isinstance(key, tuple) and len(key) == 3:
-            return self.identity(
-                ImplicationProblem.of(key[0], key[1], finite=key[2])
-            )
         raise TypeError(
-            "expected a ProblemIdentity, an ImplicationProblem, or the "
-            f"legacy (premises, conclusion, finite) tuple, got {type(key).__name__}"
+            "expected a ProblemIdentity or an ImplicationProblem, "
+            f"got {type(key).__name__}"
         )
 
     # -- DSL -------------------------------------------------------------------
@@ -339,9 +335,8 @@ class Solver:
     def lookup(self, key) -> Optional[StoreHit]:
         """The store entry for a problem/identity, with hit classification.
 
-        Accepts a :class:`~repro.api.identity.ProblemIdentity`, an
-        :class:`ImplicationProblem`, or the legacy
-        ``(premises, conclusion, finite)`` tuple.  The returned
+        Accepts a :class:`~repro.api.identity.ProblemIdentity` or an
+        :class:`ImplicationProblem`.  The returned
         :class:`~repro.api.store.StoreHit` says whether the entry was
         populated by this very statement or by a renamed twin.
         """

@@ -24,11 +24,11 @@ pin syntactic mode where byte-identical presentation matters.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import pickle
-import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -39,11 +39,16 @@ from typing import Mapping, Optional, Tuple
 from repro.api.identity import ProblemIdentity
 from repro.config import CacheConfig, ConfigError
 from repro.implication.problem import ImplicationOutcome
+from repro.util.atomic import write_atomically
 
 
 @dataclass
 class StoreStats:
-    """Lifetime counters of one store (per process, even for shared stores)."""
+    """Lifetime counters of one store (per process, even for shared stores).
+
+    ``write_errors`` counts the file writes a disk fault dropped: entry
+    writes and stats-sidecar flushes of a :class:`FileOutcomeStore`.
+    """
 
     hits: int = 0
     canonical_hits: int = 0
@@ -51,6 +56,7 @@ class StoreStats:
     misses: int = 0
     puts: int = 0
     evictions: int = 0
+    write_errors: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -67,6 +73,7 @@ class StoreStats:
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
+            "write_errors": self.write_errors,
             "hit_rate": self.hit_rate,
         }
 
@@ -80,6 +87,7 @@ class StoreStats:
             misses=payload.get("misses", 0),
             puts=payload.get("puts", 0),
             evictions=payload.get("evictions", 0),
+            write_errors=payload.get("write_errors", 0),
         )
 
 
@@ -242,11 +250,12 @@ class FileOutcomeStore(OutcomeStore):
     """A directory-backed store shareable by multiple worker processes.
 
     Each entry is one pickle file named by the identity digest, written
-    atomically (tempfile + ``os.replace``), so concurrent workers see
-    either the old entry or the new one, never a torn read.  TTL and the
-    size bound are enforced against file mtimes on access.  Unreadable or
-    corrupt entries degrade to misses -- a shared cache must never be able
-    to take the service down.
+    atomically (:func:`~repro.util.atomic.write_atomically`), so concurrent
+    workers see either the old entry or the new one, never a torn read.
+    TTL and the size bound are enforced against file mtimes on access.
+    Unreadable or corrupt entries degrade to misses, and a write the disk
+    refuses is dropped and counted in ``stats.write_errors`` -- a shared
+    cache must never be able to take the service down.
 
     ``stats`` counts only this process's traffic (each worker populating a
     shared directory keeps its own counters).  Every store additionally
@@ -282,12 +291,9 @@ class FileOutcomeStore(OutcomeStore):
     def _flush_stats(self) -> None:
         """Mirror this process's counters to the sidecar (best effort)."""
         try:
-            fd, staging = tempfile.mkstemp(dir=self._path, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self._stats.to_dict(), handle)
-            os.replace(staging, self._sidecar)
+            write_atomically(self._sidecar, json.dumps(self._stats.to_dict()).encode())
         except OSError:
-            return None
+            self._stats.write_errors += 1
 
     def get(self, identity: ProblemIdentity) -> Optional[StoreHit]:
         """The cached outcome from disk; corrupt entries degrade to misses."""
@@ -326,15 +332,14 @@ class FileOutcomeStore(OutcomeStore):
         target = self._entry_path(identity)
         with self._lock:
             try:
-                fd, staging = tempfile.mkstemp(dir=self._path, suffix=".tmp")
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump((identity.fingerprint, outcome), handle)
-                os.replace(staging, target)
-                self._stats.puts += 1
-                self._prune()
+                write_atomically(target, pickle.dumps((identity.fingerprint, outcome)))
             except OSError:
                 # A full or read-only disk degrades the cache, not the solve.
-                return None
+                self._stats.write_errors += 1
+            else:
+                self._stats.puts += 1
+                with contextlib.suppress(OSError):
+                    self._prune()
             finally:
                 self._flush_stats()
 
@@ -368,6 +373,7 @@ class FileOutcomeStore(OutcomeStore):
                 total.misses += part.misses
                 total.puts += part.puts
                 total.evictions += part.evictions
+                total.write_errors += part.write_errors
             return total
 
     def _prune(self) -> None:

@@ -45,10 +45,9 @@ tail of the in-progress round.  The engine applies that tail and then
 restarts its strategy, which provably yields the same applied-step sequence
 -- and hence byte-identical results -- as the uninterrupted run.
 
-**Schema versioning.**  Every log carries :data:`SCHEMA_VERSION`.  Old logs
-are upgraded record-by-record through the migrations registered with
-:func:`register_migration`; a log from a *newer* schema (or one with no
-registered migration path) fails loudly with
+**Schema versioning.**  Every log carries :data:`SCHEMA_VERSION`, and the
+reader loads only that schema: a log stamped with any other version (older,
+newer, or not an integer at all) fails loudly with
 ``checkpoint_schema_mismatch``.
 """
 
@@ -61,7 +60,7 @@ import re
 import threading
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chase.result import ChaseStatus, ChaseStep
 from repro.chase.steps import (
@@ -83,8 +82,8 @@ from repro.model.values import Value
 from repro.util.errors import ReproError
 from repro.util.fresh import FreshSupply
 
-#: Schema version stamped into every log header.  Bump it whenever a record
-#: shape changes, and register a migration so older logs stay loadable.
+#: Schema version stamped into every log header, and the only one the reader
+#: loads.  Bump it whenever a record shape changes.
 SCHEMA_VERSION = 1
 
 #: File suffix of log segments.
@@ -117,33 +116,6 @@ class CheckpointError(ReproError):
 #: explicit separators builds a fresh ``JSONEncoder`` per call, which is
 #: measurable on the per-step hot path.
 _encode_record = json.JSONEncoder(separators=(",", ":")).encode
-
-
-# -- schema migrations --------------------------------------------------------
-
-#: ``version -> record upgrader``: each callable rewrites one record from
-#: ``version`` to ``version + 1``.  The reader chains them until the record
-#: reaches :data:`SCHEMA_VERSION`.
-_MIGRATIONS: Dict[int, Callable[[dict], dict]] = {}
-
-
-def register_migration(version: int, upgrade: Callable[[dict], dict]) -> None:
-    """Register the record upgrader from ``version`` to ``version + 1``."""
-    _MIGRATIONS[version] = upgrade
-
-
-def migrate_record(record: dict, version: int) -> dict:
-    """Upgrade one record from ``version`` to :data:`SCHEMA_VERSION`."""
-    while version < SCHEMA_VERSION:
-        upgrade = _MIGRATIONS.get(version)
-        if upgrade is None:
-            raise CheckpointError(
-                ERR_SCHEMA,
-                f"no migration registered from checkpoint schema {version}",
-            )
-        record = upgrade(record)
-        version += 1
-    return record
 
 
 # -- write/replay counters ----------------------------------------------------
@@ -653,15 +625,14 @@ class CheckpointReader:
             )
         header = records[0]
         schema = header.get("schema")
-        if not isinstance(schema, int) or schema > SCHEMA_VERSION:
+        # ``type(...) is int``: JSON ``true`` loads as ``True``, an ``int``
+        # subclass equal to 1, and must not pass for schema 1.
+        if type(schema) is not int or schema != SCHEMA_VERSION:
             raise CheckpointError(
                 ERR_SCHEMA,
                 f"{self._path}: log schema {schema!r} is not supported "
-                f"(this build reads <= {SCHEMA_VERSION})",
+                f"(this build reads schema {SCHEMA_VERSION})",
             )
-        if schema < SCHEMA_VERSION:
-            records = [migrate_record(dict(record), schema) for record in records]
-            header = records[0]
 
         budget = ChaseBudget.from_dict(header["budget"])
         instance = Relation.from_dict(header["instance"])

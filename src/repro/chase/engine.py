@@ -64,12 +64,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.chase.checkpoint import CheckpointWriter, ResumePoint, load_checkpoint
 from repro.chase.result import ChaseResult, ChaseStatus, ChaseStep
 from repro.chase.strategies import ChaseStrategy, make_strategy
-from repro.config import (
-    ChaseBudget,
-    ConfigError,
-    resolve_chase_budget,
-    warn_legacy_kwargs,
-)
+from repro.config import ChaseBudget, ConfigError
 from repro.chase.steps import (
     ChaseDependency,
     ChaseState,
@@ -126,31 +121,28 @@ class ChaseEngine:
         primitive classes.
     budget:
         The :class:`~repro.config.ChaseBudget` limiting steps and tableau
-        size and carrying the default scheduling strategy (keyword-only;
-        defaults to ``ChaseBudget()``).
+        size and carrying the default scheduling strategy (defaults to
+        ``ChaseBudget()``).
     strategy:
         Scheduling override: ``"rescan"``, ``"incremental"``, ``"auto"``,
         or a :class:`~repro.chase.strategies.ChaseStrategy` instance.
         ``None`` (the default) defers to ``budget.chase_strategy``.
-    max_steps, max_rows:
-        Deprecated kwarg equivalents of ``budget``; explicit values override
-        the corresponding budget fields.
     trace:
         Record every applied step in the result's trace.
     raise_on_budget:
         Raise :class:`ChaseBudgetExceeded` instead of returning a
         ``BUDGET_EXHAUSTED`` result.
+
+    Every parameter after ``dependencies`` is keyword-only.
     """
 
     def __init__(
         self,
         dependencies: Sequence[ChaseDependency],
-        max_steps: Optional[int] = None,
-        max_rows: Optional[int] = None,
+        *,
         trace: bool = False,
         raise_on_budget: bool = False,
         fresh_prefix: str = "n",
-        *,
         budget: Optional[ChaseBudget] = None,
         strategy: StrategyChoice = None,
     ) -> None:
@@ -163,8 +155,7 @@ class ChaseEngine:
                     "equality-generating dependencies; convert other classes first"
                 )
         self._dependencies = tuple(dependencies)
-        warn_legacy_kwargs("ChaseEngine", max_steps=max_steps, max_rows=max_rows)
-        self._budget = resolve_chase_budget(budget, max_steps, max_rows)
+        self._budget = budget if budget is not None else ChaseBudget()
         self._max_steps = self._budget.max_steps
         self._max_rows = self._budget.max_rows
         self._trace = trace
@@ -548,10 +539,8 @@ class ChaseEngine:
 def chase(
     instance: Optional[Relation] = None,
     dependencies: Optional[Iterable[ChaseDependency]] = None,
-    max_steps: Optional[int] = None,
-    max_rows: Optional[int] = None,
-    trace: bool = False,
     *,
+    trace: bool = False,
     budget: Optional[ChaseBudget] = None,
     strategy: StrategyChoice = None,
     resume_from: Union[str, ResumePoint, None] = None,
@@ -559,10 +548,10 @@ def chase(
 ) -> ChaseResult:
     """Chase ``instance`` with ``dependencies`` (convenience wrapper).
 
-    Prefer passing a :class:`~repro.config.ChaseBudget` via ``budget``; the
-    ``max_steps`` / ``max_rows`` kwargs remain as a deprecated shim and
-    override the corresponding budget fields when given.  ``strategy``
-    overrides the budget's ``chase_strategy`` field.
+    ``budget`` is the :class:`~repro.config.ChaseBudget` of the run
+    (``None`` means ``ChaseBudget()``); ``strategy`` overrides its
+    ``chase_strategy`` field.  Every parameter after ``dependencies`` is
+    keyword-only.
 
     ``resume_from`` continues an interrupted run instead of starting a new
     one: pass a checkpoint token (resolved against ``checkpoint_directory``),
@@ -586,11 +575,10 @@ def chase(
         )
     if instance is None or dependencies is None:
         raise ConfigError("chase() needs an instance and dependencies")
-    warn_legacy_kwargs("chase()", max_steps=max_steps, max_rows=max_rows)
     engine = ChaseEngine(
         list(dependencies),
         trace=trace,
-        budget=resolve_chase_budget(budget, max_steps, max_rows),
+        budget=budget,
         strategy=strategy,
     )
     return engine.run(instance)

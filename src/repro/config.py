@@ -3,10 +3,8 @@
 The paper proves that implication and finite implication are undecidable for
 typed template dependencies, so every procedure in this library is budgeted:
 the chase is cut off after a step/row budget, the finite-counterexample
-search after a size/domain bound.  Historically those budgets travelled as a
-soup of keyword arguments (``max_steps``, ``max_rows``,
-``finite_search_rows``, ...) repeated on every constructor.  This module
-replaces them with three small frozen objects:
+search after a size/domain bound.  Those budgets travel as three small
+frozen objects, the one way every entry point takes its limits:
 
 * :class:`ChaseBudget` -- limits for one chase run,
 * :class:`FiniteSearchBudget` -- bounds for the finite-counterexample
@@ -15,16 +13,13 @@ replaces them with three small frozen objects:
   combining both budgets.
 
 All three are immutable and hashable, which lets the batch solving path in
-:mod:`repro.api` use them directly as memoization-key components.  The old
-keyword arguments keep working everywhere via thin deprecation shims that
-funnel into these objects.
+:mod:`repro.api` use them directly as memoization-key components.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Mapping, Optional
 
@@ -783,65 +778,3 @@ class ServiceConfig:
         dispatches each batch on the next event-loop turn).
         """
         return _from_payload(cls, payload, solver=SolverConfig.from_dict)
-
-
-def warn_legacy_kwargs(api_name: str, **named) -> None:
-    """Emit the deprecation warning for kwarg-soup call sites.
-
-    Takes the legacy parameters as keywords; ``None`` values (parameter not
-    passed) are dropped here, so call sites forward their raw optionals in
-    one line.  Warns only when at least one legacy value was actually given.
-    """
-    legacy = {name: value for name, value in named.items() if value is not None}
-    if not legacy:
-        return
-    names = ", ".join(sorted(legacy))
-    warnings.warn(
-        f"passing {names} to {api_name} is deprecated; "
-        "pass a ChaseBudget / FiniteSearchBudget / SolverConfig instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def resolve_chase_budget(
-    budget: Optional[ChaseBudget],
-    max_steps: Optional[int],
-    max_rows: Optional[int],
-    default: Optional[ChaseBudget] = None,
-) -> ChaseBudget:
-    """Combine a budget object with legacy kwargs into one :class:`ChaseBudget`.
-
-    Explicit legacy kwargs override the corresponding budget fields, so both
-    call styles (and mixtures, during migration) behave predictably.
-    """
-    resolved = budget if budget is not None else (default or ChaseBudget())
-    overrides = {}
-    if max_steps is not None:
-        overrides["max_steps"] = max_steps
-    if max_rows is not None:
-        overrides["max_rows"] = max_rows
-    if overrides:
-        resolved = replace(resolved, **overrides)
-    return resolved
-
-
-def resolve_finite_search_budget(
-    budget: Optional[FiniteSearchBudget],
-    max_rows: Optional[int],
-    domain_size: Optional[int],
-    max_candidates: Optional[int],
-    default: Optional[FiniteSearchBudget] = None,
-) -> FiniteSearchBudget:
-    """Combine a budget object with legacy kwargs into one :class:`FiniteSearchBudget`."""
-    resolved = budget if budget is not None else (default or FiniteSearchBudget())
-    overrides: dict = {}
-    if max_rows is not None:
-        overrides["max_rows"] = max_rows
-    if domain_size is not None:
-        overrides["domain_size"] = domain_size
-    if max_candidates is not None:
-        overrides["max_candidates"] = max_candidates
-    if overrides:
-        resolved = replace(resolved, **overrides)
-    return resolved

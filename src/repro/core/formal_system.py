@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from repro.config import ChaseBudget, resolve_chase_budget, warn_legacy_kwargs
+from repro.config import ChaseBudget
 from repro.dependencies.base import Dependency
 from repro.dependencies.pjd import ProjectedJoinDependency, all_pjds_over
 from repro.implication.chase_prover import prove
@@ -85,8 +85,8 @@ class ChaseProofSystem:
     with the premise set (under the system's fixed budget) establishes the
     conclusion.  Soundness is immediate from the soundness of the chase.
     The system is complete *relative to its budget*: every implication the
-    chase can witness within ``max_steps`` chase steps has an accepted
-    proof.  An absolutely complete *and* recursive system for finite
+    chase can witness within the budget's ``max_steps`` chase steps has an
+    accepted proof (``budget=None`` means ``ChaseBudget()``).  An absolutely complete *and* recursive system for finite
     implication cannot exist -- that is the corollary to Theorem 2/6 -- so
     the budget is not an implementation shortcut but the honest boundary.
     """
@@ -94,16 +94,11 @@ class ChaseProofSystem:
     def __init__(
         self,
         universe: Universe,
-        max_steps: Optional[int] = None,
-        max_rows: Optional[int] = None,
         *,
         budget: Optional[ChaseBudget] = None,
     ) -> None:
-        warn_legacy_kwargs(
-            "ChaseProofSystem", max_steps=max_steps, max_rows=max_rows
-        )
         self._universe = universe
-        self._budget = resolve_chase_budget(budget, max_steps, max_rows)
+        self._budget = budget if budget is not None else ChaseBudget()
 
     @property
     def universe(self) -> Universe:

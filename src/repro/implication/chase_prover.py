@@ -9,10 +9,9 @@ when the budget runs out without the conclusion appearing, the answer is
 ``UNKNOWN`` -- which is the best any total procedure can do, by the very
 theorems this library reproduces.
 
-All entry points accept a :class:`~repro.config.ChaseBudget` via the
-``budget`` keyword; the historical ``max_steps`` / ``max_rows`` kwargs are
-kept as a deprecated shim (they emit ``DeprecationWarning``) and override
-the corresponding budget fields.
+All entry points take their limits as a :class:`~repro.config.ChaseBudget`
+via the ``budget`` keyword (``None`` means ``ChaseBudget()``); every
+parameter after the premises and the conclusion is keyword-only.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 
 from repro.chase.engine import ChaseEngine
 from repro.chase.result import ChaseResult, ChaseStatus
-from repro.config import ChaseBudget, resolve_chase_budget, warn_legacy_kwargs
+from repro.config import ChaseBudget
 from repro.dependencies.egd import EqualityGeneratingDependency
 from repro.dependencies.td import TemplateDependency
 from repro.implication.normalize import ChaseDependency
@@ -32,10 +31,8 @@ from repro.model.values import Value
 def chase_for_conclusion(
     premises: Sequence[ChaseDependency],
     conclusion_body,
-    max_steps: Optional[int] = None,
-    max_rows: Optional[int] = None,
-    trace: bool = False,
     *,
+    trace: bool = False,
     budget: Optional[ChaseBudget] = None,
     strategy: Optional[str] = None,
 ) -> ChaseResult:
@@ -44,11 +41,10 @@ def chase_for_conclusion(
     ``strategy`` overrides the budget's ``chase_strategy`` field (see
     :mod:`repro.chase.strategies`).
     """
-    warn_legacy_kwargs("chase_for_conclusion()", max_steps=max_steps, max_rows=max_rows)
     engine = ChaseEngine(
         list(premises),
         trace=trace,
-        budget=resolve_chase_budget(budget, max_steps, max_rows),
+        budget=budget,
         strategy=strategy,
     )
     return engine.run(conclusion_body)
@@ -118,20 +114,17 @@ def outcome_from_result(
 def prove_td(
     premises: Sequence[ChaseDependency],
     conclusion: TemplateDependency,
-    max_steps: Optional[int] = None,
-    max_rows: Optional[int] = None,
-    trace: bool = False,
     *,
+    trace: bool = False,
     budget: Optional[ChaseBudget] = None,
     strategy: Optional[str] = None,
 ) -> ImplicationOutcome:
     """Run the chase prover on ``premises |= conclusion`` for a td conclusion."""
-    warn_legacy_kwargs("prove_td()", max_steps=max_steps, max_rows=max_rows)
     result = chase_for_conclusion(
         premises,
         conclusion.body,
         trace=trace,
-        budget=resolve_chase_budget(budget, max_steps, max_rows),
+        budget=budget,
         strategy=strategy,
     )
     return outcome_from_result(result, conclusion)
@@ -140,15 +133,12 @@ def prove_td(
 def prove_egd(
     premises: Sequence[ChaseDependency],
     conclusion: EqualityGeneratingDependency,
-    max_steps: Optional[int] = None,
-    max_rows: Optional[int] = None,
-    trace: bool = False,
     *,
+    trace: bool = False,
     budget: Optional[ChaseBudget] = None,
     strategy: Optional[str] = None,
 ) -> ImplicationOutcome:
     """Run the chase prover on ``premises |= conclusion`` for an egd conclusion."""
-    warn_legacy_kwargs("prove_egd()", max_steps=max_steps, max_rows=max_rows)
     if conclusion.is_trivial():
         return ImplicationOutcome(
             Verdict.IMPLIED, reason="the conclusion equates a value with itself"
@@ -157,7 +147,7 @@ def prove_egd(
         premises,
         conclusion.body,
         trace=trace,
-        budget=resolve_chase_budget(budget, max_steps, max_rows),
+        budget=budget,
         strategy=strategy,
     )
     return outcome_from_result(result, conclusion)
@@ -166,10 +156,8 @@ def prove_egd(
 def prove(
     premises: Sequence[ChaseDependency],
     conclusion: ChaseDependency,
-    max_steps: Optional[int] = None,
-    max_rows: Optional[int] = None,
-    trace: bool = False,
     *,
+    trace: bool = False,
     budget: Optional[ChaseBudget] = None,
     strategy: Optional[str] = None,
 ) -> ImplicationOutcome:
@@ -178,12 +166,10 @@ def prove(
     ``strategy`` overrides the budget's ``chase_strategy`` field, letting a
     caller pin the scheduling strategy without rebuilding the budget.
     """
-    warn_legacy_kwargs("prove()", max_steps=max_steps, max_rows=max_rows)
-    resolved = resolve_chase_budget(budget, max_steps, max_rows)
     if isinstance(conclusion, TemplateDependency):
         return prove_td(
-            premises, conclusion, trace=trace, budget=resolved, strategy=strategy
+            premises, conclusion, trace=trace, budget=budget, strategy=strategy
         )
     return prove_egd(
-        premises, conclusion, trace=trace, budget=resolved, strategy=strategy
+        premises, conclusion, trace=trace, budget=budget, strategy=strategy
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.chase.termination import all_total
-from repro.config import ChaseBudget, resolve_chase_budget, warn_legacy_kwargs
+from repro.config import ChaseBudget
 from repro.dependencies.base import Dependency
 from repro.dependencies.egd import EqualityGeneratingDependency
 from repro.dependencies.fd import FunctionalDependency
@@ -48,8 +48,6 @@ def full_fragment_implies(
     premises: Sequence[Dependency],
     conclusion: Dependency,
     universe: Universe,
-    max_steps: Optional[int] = None,
-    max_rows: Optional[int] = None,
     *,
     budget: Optional[ChaseBudget] = None,
 ) -> ImplicationOutcome:
@@ -59,7 +57,7 @@ def full_fragment_implies(
     fragment (use the general engine for those).  The verdict is never
     ``UNKNOWN`` unless the (generous) safety budget is hit, which would
     indicate an instance far larger than this decision procedure is meant
-    for.
+    for.  ``budget=None`` means :meth:`ChaseBudget.generous`.
     """
     for dependency in [*premises, conclusion]:
         if not is_full(dependency, universe):
@@ -67,12 +65,7 @@ def full_fragment_implies(
                 f"{dependency.describe()} is not a full dependency; "
                 "the terminating-chase procedure does not apply"
             )
-    warn_legacy_kwargs(
-        "full_fragment_implies()", max_steps=max_steps, max_rows=max_rows
-    )
-    resolved = resolve_chase_budget(
-        budget, max_steps, max_rows, default=ChaseBudget.generous()
-    )
+    resolved = budget if budget is not None else ChaseBudget.generous()
     premise_primitives = normalize_all(premises, universe)
     conclusion_primitives = normalize_dependency(conclusion, universe)
     if not conclusion_primitives:

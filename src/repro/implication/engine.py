@@ -13,17 +13,15 @@ applicable procedure:
 The engine never silently turns "could not decide" into a Boolean: callers
 receive an :class:`ImplicationOutcome` whose verdict may be ``UNKNOWN``.
 
-Budgets are configured with a :class:`~repro.config.SolverConfig`; the
-historical keyword arguments (``max_steps``, ``max_rows``,
-``finite_search_rows``, ``finite_search_domain``) keep working through a
-deprecation shim and override the corresponding config fields.
+Budgets are configured with a :class:`~repro.config.SolverConfig`, the one
+place the chase budget and the finite-search bounds are set.
 """
 
 from __future__ import annotations
 
 from typing import MutableMapping, Optional, Sequence
 
-from repro.config import SolverConfig, warn_legacy_kwargs
+from repro.config import SolverConfig
 from repro.dependencies.base import Dependency
 from repro.dependencies.fd import FunctionalDependency, fd_implies
 from repro.implication.chase_prover import prove
@@ -51,13 +49,6 @@ class ImplicationEngine:
         The :class:`~repro.config.SolverConfig` carrying the chase budget and
         the finite-search bounds (keyword-only; defaults to
         ``SolverConfig()``).
-    max_steps, max_rows:
-        Deprecated: budgets for the general (possibly non-terminating)
-        chase.  Override ``config.chase`` when given.
-    finite_search_rows, finite_search_domain:
-        Deprecated: bounds for the finite-counterexample enumeration used by
-        :meth:`finitely_implies`.  Override ``config.finite_search`` when
-        given.
     premise_cache:
         Optional mutable mapping used to memoize premise-set normalisation
         across queries (the batch path in :mod:`repro.api` supplies one so
@@ -67,41 +58,12 @@ class ImplicationEngine:
     def __init__(
         self,
         universe: Optional[Universe] = None,
-        max_steps: Optional[int] = None,
-        max_rows: Optional[int] = None,
-        finite_search_rows: Optional[int] = None,
-        finite_search_domain: Optional[int] = None,
         *,
         config: Optional[SolverConfig] = None,
         premise_cache: Optional[MutableMapping] = None,
     ) -> None:
-        resolved = config if config is not None else SolverConfig()
-        legacy = {
-            name: value
-            for name, value in (
-                ("max_steps", max_steps),
-                ("max_rows", max_rows),
-                ("finite_search_rows", finite_search_rows),
-                ("finite_search_domain", finite_search_domain),
-            )
-            if value is not None
-        }
-        if legacy:
-            warn_legacy_kwargs("ImplicationEngine", **legacy)
-            chase_overrides = {
-                key: legacy[key] for key in ("max_steps", "max_rows") if key in legacy
-            }
-            if chase_overrides:
-                resolved = resolved.with_chase(**chase_overrides)
-            search_overrides = {}
-            if "finite_search_rows" in legacy:
-                search_overrides["max_rows"] = legacy["finite_search_rows"]
-            if "finite_search_domain" in legacy:
-                search_overrides["domain_size"] = legacy["finite_search_domain"]
-            if search_overrides:
-                resolved = resolved.with_finite_search(**search_overrides)
         self._universe = universe
-        self._config = resolved
+        self._config = config if config is not None else SolverConfig()
         self._premise_cache = premise_cache
 
     @property

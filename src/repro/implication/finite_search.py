@@ -25,12 +25,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.config import (
-    ChaseBudget,
-    FiniteSearchBudget,
-    resolve_finite_search_budget,
-    warn_legacy_kwargs,
-)
+from repro.config import ChaseBudget, FiniteSearchBudget
 from repro.dependencies.base import Dependency, all_satisfied
 from repro.model.attributes import Universe
 from repro.model.relations import Relation
@@ -83,11 +78,8 @@ def find_finite_counterexample(
     premises: Sequence[Dependency],
     conclusion: Dependency,
     universe: Universe,
-    max_rows: Optional[int] = None,
-    domain_size: Optional[int] = None,
-    typed_universe: bool = True,
-    max_candidates: Optional[int] = None,
     *,
+    typed_universe: bool = True,
     budget: Optional[FiniteSearchBudget] = None,
 ) -> Optional[Relation]:
     """Search for a finite relation satisfying the premises but not the conclusion.
@@ -95,22 +87,10 @@ def find_finite_counterexample(
     Returns the first counterexample found, or ``None`` if the bounded space
     contains none (which does **not** establish ``Sigma |=_f sigma``).  The
     bounds come from the :class:`~repro.config.FiniteSearchBudget` passed as
-    ``budget``; the individual kwargs remain as a deprecated shim (they emit
-    ``DeprecationWarning``) and override the corresponding budget fields.
+    ``budget`` (``None`` means ``FiniteSearchBudget(max_rows=4)``); every
+    parameter after ``universe`` is keyword-only.
     """
-    warn_legacy_kwargs(
-        "find_finite_counterexample()",
-        max_rows=max_rows,
-        domain_size=domain_size,
-        max_candidates=max_candidates,
-    )
-    resolved = resolve_finite_search_budget(
-        budget,
-        max_rows,
-        domain_size,
-        max_candidates,
-        default=FiniteSearchBudget(max_rows=4),
-    )
+    resolved = budget if budget is not None else FiniteSearchBudget(max_rows=4)
     examined = 0
     for candidate in candidate_relations(
         universe, resolved.max_rows, resolved.domain_size, typed_universe
@@ -129,14 +109,10 @@ def refute_finitely(
     premises: Sequence[Dependency],
     conclusion: Dependency,
     universe: Universe,
-    seeds: Iterable[Relation] = (),
-    max_rows: Optional[int] = None,
-    domain_size: Optional[int] = None,
-    typed_universe: bool = True,
-    max_candidates: Optional[int] = None,
     *,
+    seeds: Iterable[Relation] = (),
+    typed_universe: bool = True,
     budget: Optional[FiniteSearchBudget] = None,
-    chase_strategy: Optional[str] = None,
     chase_budget: Optional[ChaseBudget] = None,
 ) -> Optional[Relation]:
     """Like :func:`find_finite_counterexample` but trying caller-provided seeds first.
@@ -149,22 +125,14 @@ def refute_finitely(
     premise model, which is a counterexample whenever it still violates the
     conclusion.  The repair chase is scheduled per ``chase_budget`` (whose
     ``chase_strategy`` / ``chase_kernel`` fields carry the scheduling choice;
-    its step/row caps are replaced by the repair's own small ones) or, when
-    only a name is at hand, per ``chase_strategy``.
+    its step/row caps are replaced by the repair's own small ones).  Every
+    parameter after ``universe`` is keyword-only.
     """
-    warn_legacy_kwargs(
-        "refute_finitely()",
-        max_rows=max_rows,
-        domain_size=domain_size,
-        max_candidates=max_candidates,
-    )
     for seed in seeds:
         if not conclusion.satisfied_by(seed):
             if all_satisfied(seed, premises):
                 return seed
-            repaired = _repair_seed(
-                seed, premises, conclusion, universe, chase_strategy, chase_budget
-            )
+            repaired = _repair_seed(seed, premises, conclusion, universe, chase_budget)
             if repaired is not None:
                 return repaired
     return find_finite_counterexample(
@@ -172,13 +140,7 @@ def refute_finitely(
         conclusion,
         universe,
         typed_universe=typed_universe,
-        budget=resolve_finite_search_budget(
-            budget,
-            max_rows,
-            domain_size,
-            max_candidates,
-            default=FiniteSearchBudget(max_rows=4),
-        ),
+        budget=budget,
     )
 
 
@@ -187,8 +149,7 @@ def _repair_seed(
     premises: Sequence[Dependency],
     conclusion: Dependency,
     universe: Universe,
-    chase_strategy: Optional[str],
-    chase_budget: Optional[ChaseBudget] = None,
+    chase_budget: Optional[ChaseBudget],
 ) -> Optional[Relation]:
     """Chase a near-miss seed into a premise model; keep it if it still refutes.
 
@@ -204,14 +165,8 @@ def _repair_seed(
 
     try:
         primitives = normalize_all(premises, universe)
-        base = (
-            chase_budget
-            if chase_budget is not None
-            else ChaseBudget(chase_strategy=chase_strategy or "auto")
-        )
-        budget = replace(
-            base, max_steps=256, max_rows=max(256, len(seed) * 4)
-        )
+        base = chase_budget if chase_budget is not None else ChaseBudget()
+        budget = replace(base, max_steps=256, max_rows=max(256, len(seed) * 4))
         result = run_chase(seed, primitives, budget=budget)
     except ReproError:
         return None

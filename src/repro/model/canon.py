@@ -32,8 +32,8 @@ syntactic key" rather than an answer-changing failure.
 The module also provides the deterministic *syntactic* counterparts
 (:func:`syntactic_encoding` / :func:`syntactic_key`): a stable string form
 of the problem exactly as written, injective with respect to dependency
-equality, which replaces the old tuple-of-objects ``problem_key`` so that
-cache keys are stable strings usable by process-shared stores.
+equality, so that cache keys are stable strings usable by process-shared
+stores.
 """
 
 from __future__ import annotations
@@ -615,7 +615,7 @@ def canonical_key(problem: ImplicationProblem, context: tuple = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic syntactic encoding (the legacy key, as a stable string).
+# Deterministic syntactic encoding (the key of a problem as written).
 # ---------------------------------------------------------------------------
 
 
@@ -676,8 +676,8 @@ def syntactic_encoding(problem: ImplicationProblem) -> tuple:
 
     Injective with respect to dependency equality (display names and egd
     orientation are excluded, exactly as ``Dependency.__eq__`` excludes
-    them) and sensitive to premise order, matching the legacy
-    tuple-of-objects ``problem_key`` semantics one-for-one.
+    them) and sensitive to premise order, exactly like ``==`` on the
+    ``(premises, conclusion, finite)`` triple.
     """
     return (
         "problem",

@@ -24,15 +24,14 @@ query wait for companions:
   saturation signal.
 
 The coalescer does not solve anything itself: it is handed an async
-``dispatch`` callable (``problems -> outcomes``, optionally taking the
-batch ``deadline``); the server wires ``solve_many`` on a worker thread,
-and tests substitute fakes behind the same batching policy.
+``dispatch`` callable (``(problems, *, deadline) -> outcomes``); the server
+wires ``solve_many`` on a worker thread, and tests substitute fakes behind
+the same batching policy.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -43,36 +42,19 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
 )
 
 from repro.api.identity import identity_of
 from repro.implication.problem import ImplicationOutcome, ImplicationProblem
 
-Dispatch = Callable[[Sequence[ImplicationProblem]], Awaitable[List[ImplicationOutcome]]]
+#: ``dispatch(problems, deadline=...)``: the batch's problems and its
+#: deadline (an absolute ``time.monotonic()`` instant, or ``None``).
+Dispatch = Callable[..., Awaitable[List[ImplicationOutcome]]]
 
 #: The keying function queries are deduplicated under.  Anything hashable
 #: works; a :class:`~repro.api.identity.ProblemIdentity` additionally lets
 #: the coalescer classify joins as canonical vs syntactic.
 IdentityFn = Callable[[ImplicationProblem], Hashable]
-
-
-def _accepts_deadline(dispatch: Dispatch) -> bool:
-    """Whether ``dispatch`` can take a ``deadline`` keyword.
-
-    Detected once at construction so older dispatch callables (the plain
-    ``problems -> outcomes`` shape most tests use) keep working unchanged.
-    """
-    try:
-        parameters = inspect.signature(dispatch).parameters
-    except (TypeError, ValueError):
-        return False
-    if "deadline" in parameters:
-        return parameters["deadline"].kind is not inspect.Parameter.POSITIONAL_ONLY
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 @dataclass
@@ -160,8 +142,10 @@ class RequestCoalescer:
     Parameters
     ----------
     dispatch:
-        Async callable solving one batch; results must align positionally
-        with the problems (exactly ``solve_many``'s contract).
+        Async callable solving one batch, called as
+        ``dispatch(problems, deadline=...)`` with the batch deadline
+        (``None`` when unbounded); results must align positionally with
+        the problems (exactly ``solve_many``'s contract).
     max_batch:
         The most *distinct* problems one batch holds: a turn that submits
         more flushes a full batch at once and opens the next.
@@ -195,7 +179,6 @@ class RequestCoalescer:
         self._capacity = max_concurrent
         self._on_batch = on_batch
         self._identity: IdentityFn = identity if identity is not None else identity_of
-        self._dispatch_takes_deadline = _accepts_deadline(dispatch)
         self.stats = CoalescerStats()
         self._pending: Dict[Hashable, _Slot] = {}
         self._in_flight: Dict[Hashable, _Slot] = {}
@@ -342,12 +325,9 @@ class RequestCoalescer:
             problems = [slot.problem for slot in batch.values()]
             started = time.monotonic()
             try:
-                if self._dispatch_takes_deadline:
-                    outcomes = await self._dispatch(
-                        problems, deadline=self._batch_deadline(batch)
-                    )
-                else:
-                    outcomes = await self._dispatch(problems)
+                outcomes = await self._dispatch(
+                    problems, deadline=self._batch_deadline(batch)
+                )
             except BaseException as exc:
                 # These slots deliver no result: their waiters re-raise and
                 # nothing was cached, so count them as evicted.

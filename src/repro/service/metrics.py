@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.util.atomic import write_atomically
 
 #: Default latency buckets (seconds), roughly logarithmic from 1 ms to 30 s.
 LATENCY_BUCKETS = (
@@ -311,24 +312,18 @@ def worker_snapshot_path(directory: str, worker_id: int) -> str:
 def write_worker_snapshot(directory: str, worker_id: int, payload: dict) -> str:
     """Atomically write one worker's snapshot sidecar; returns its path.
 
-    The payload is written to a temporary file in the same directory and
+    The payload is written to a staging file in the same directory and
     renamed into place, so concurrent readers always see a complete JSON
-    document (possibly one flush stale, never torn).
+    document (possibly one flush stale, never torn).  The staging name
+    (``.worker-<id>.*.tmp``) is one :func:`read_worker_snapshots` skips.
     """
     os.makedirs(directory, exist_ok=True)
     path = worker_snapshot_path(directory, worker_id)
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix=f".worker-{worker_id}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomically(
+        path,
+        json.dumps(payload, sort_keys=True).encode(),
+        prefix=f".worker-{worker_id}.",
+    )
     return path
 
 

@@ -44,7 +44,6 @@ from typing import Optional, Tuple
 from repro.api.solver import Solver
 from repro.chase import engine as chase_engine
 from repro.chase.checkpoint import (
-    CheckpointError,
     checkpoint_counters,
     load_checkpoint,
     scan_resumable,
@@ -153,6 +152,7 @@ class SolverService:
         self._connections: set = set()
         self._sidecar_last = 0.0
         self._sidecar_timer: Optional[asyncio.TimerHandle] = None
+        self._sidecar_write_errors = 0
 
         # -- instruments -------------------------------------------------------
         self._requests_total = self._metrics.counter(
@@ -575,19 +575,25 @@ class SolverService:
         }
 
     def _flush_worker_metrics(self) -> None:
-        """Write this worker's metrics sidecar (no-op without ``metrics_dir``)."""
+        """Write this worker's metrics sidecar (no-op without ``metrics_dir``).
+
+        A disk fault skips the flush (the previous sidecar stays in place)
+        and counts as ``workers.write_errors`` on this worker's ``/metrics``.
+        """
         if self._config.metrics_dir is None:
             return
         if self._sidecar_timer is not None:
             self._sidecar_timer.cancel()
             self._sidecar_timer = None
         self._sidecar_last = time.monotonic()
-        with contextlib.suppress(OSError):
+        try:
             write_worker_snapshot(
                 self._config.metrics_dir,
                 self._config.worker_id,
                 self._metrics.to_dict(),
             )
+        except OSError:
+            self._sidecar_write_errors += 1
 
     def _touch_worker_metrics(self) -> None:
         """The per-request sidecar update, throttled.
@@ -620,6 +626,9 @@ class SolverService:
         return {
             "count": len(snapshots),
             "ids": [worker_id for worker_id, _ in snapshots],
+            # This worker's own failed flushes: a sidecar it could not write
+            # is missing from ``count`` above.
+            "write_errors": self._sidecar_write_errors,
             "metrics": merge_metric_snapshots(
                 [payload for _, payload in snapshots]
             ),

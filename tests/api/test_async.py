@@ -227,9 +227,7 @@ class TestFailurePaths:
         for result in results:
             assert isinstance(result, RuntimeError)
         # The failure is not cached: the problem can be retried.
-        assert solver.cached_outcome(
-            (problem.premises, problem.conclusion, problem.finite)
-        ) is None
+        assert solver.cached_outcome(problem) is None
 
     def test_misconfiguration_raises(self):
         solver = Solver(universe=UNIVERSE)

@@ -1,16 +1,21 @@
-"""Config objects and the kwarg-soup deprecation shims."""
+"""Config objects, the one way every budgeted entry point takes its limits."""
 
 import pytest
 
 from repro.api import ChaseBudget, ConfigError, FiniteSearchBudget, SolverConfig
 from repro.chase import ChaseEngine, chase
+from repro.core.formal_system import ChaseProofSystem
 from repro.dependencies import (
     FunctionalDependency,
     JoinDependency,
+    MultivaluedDependency,
     fd_to_egds,
     jd_to_td,
 )
 from repro.implication import ImplicationEngine, prove
+from repro.implication.chase_prover import chase_for_conclusion, prove_egd, prove_td
+from repro.implication.decidable import full_fragment_implies
+from repro.implication.finite_search import find_finite_counterexample, refute_finitely
 from repro.model.attributes import Universe
 from repro.model.relations import Relation
 
@@ -236,25 +241,12 @@ class TestChaseEngineBudgets:
         instance = Relation.typed(ABC, [["a", "b1", "c1"], ["a", "b2", "c2"]])
         assert engine.run(instance).terminated()
 
-    def test_legacy_kwargs_warn_and_override(self):
-        td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)
-        with pytest.warns(DeprecationWarning):
-            engine = ChaseEngine([td], max_steps=123)
-        assert engine.budget.max_steps == 123
-        assert engine.budget.max_rows == ChaseBudget().max_rows
-
     def test_chase_function_accepts_budget(self):
         td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)
         instance = Relation.typed(ABC, [["a", "b1", "c1"], ["a", "b2", "c2"]])
         result = chase(instance, [td], budget=ChaseBudget(max_steps=100, max_rows=100))
         assert result.terminated()
 
-    def test_chase_function_legacy_positional(self):
-        td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)
-        instance = Relation.typed(ABC, [["a", "b1", "c1"], ["a", "b2", "c2"]])
-        with pytest.warns(DeprecationWarning):
-            result = chase(instance, [td], 100, 100)
-        assert result.terminated()
 
 
 class TestImplicationEngineConfig:
@@ -263,40 +255,6 @@ class TestImplicationEngineConfig:
         engine = ImplicationEngine(universe=ABC, config=config)
         assert engine.config is config
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning):
-            engine = ImplicationEngine(
-                universe=ABC,
-                max_steps=11,
-                finite_search_rows=2,
-                finite_search_domain=3,
-            )
-        assert engine.config.chase.max_steps == 11
-        assert engine.config.finite_search.max_rows == 2
-        assert engine.config.finite_search.domain_size == 3
-
-    def test_legacy_kwargs_override_config(self):
-        with pytest.warns(DeprecationWarning):
-            engine = ImplicationEngine(
-                universe=ABC,
-                max_rows=77,
-                config=SolverConfig(chase=ChaseBudget(max_steps=5, max_rows=5)),
-            )
-        assert engine.config.chase == ChaseBudget(max_steps=5, max_rows=77)
-
-    def test_results_identical_to_legacy_style(self):
-        fd = FunctionalDependency(["A"], ["B"])
-        jd = JoinDependency([["A", "B"], ["A", "C"]])
-        with pytest.warns(DeprecationWarning):
-            legacy = ImplicationEngine(universe=ABC, max_steps=300, max_rows=600)
-        modern = ImplicationEngine(
-            universe=ABC,
-            config=SolverConfig(chase=ChaseBudget(max_steps=300, max_rows=600)),
-        )
-        assert (
-            legacy.implies([fd], jd).verdict is modern.implies([fd], jd).verdict
-        )
-
 
 class TestProverBudgets:
     def test_prove_accepts_budget(self):
@@ -304,6 +262,66 @@ class TestProverBudgets:
         td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)
         outcome = prove(egds, td, budget=ChaseBudget(max_steps=500, max_rows=500))
         assert outcome.verdict is not None
+
+
+def _budgeted_entry_points():
+    """``name -> (callable, required positionals, retired budget keywords)``."""
+    td = jd_to_td(JoinDependency([["A", "B"], ["A", "C"]]), ABC)
+    egd = fd_to_egds(FunctionalDependency(["A"], ["B"]), ABC)[0]
+    instance = Relation.typed(ABC, [["a", "b1", "c1"], ["a", "b2", "c2"]])
+    fd = FunctionalDependency(["A"], ["B"])
+    mvd = MultivaluedDependency(["A"], ["B"])
+    chase_keywords = ("max_steps", "max_rows")
+    search_keywords = ("max_rows", "domain_size", "max_candidates")
+    return {
+        "chase": (chase, (instance, [td]), chase_keywords),
+        "ChaseEngine": (ChaseEngine, ([td],), chase_keywords),
+        "chase_for_conclusion": (
+            chase_for_conclusion,
+            ([td], td.body),
+            chase_keywords,
+        ),
+        "prove_td": (prove_td, ([td], td), chase_keywords),
+        "prove_egd": (prove_egd, ([egd], egd), chase_keywords),
+        "prove": (prove, ([td], td), chase_keywords),
+        "full_fragment_implies": (
+            full_fragment_implies,
+            ([fd], mvd, ABC),
+            chase_keywords,
+        ),
+        "ChaseProofSystem": (ChaseProofSystem, (ABC,), chase_keywords),
+        "find_finite_counterexample": (
+            find_finite_counterexample,
+            ([mvd], fd, ABC),
+            search_keywords,
+        ),
+        # ``seeds`` came before the retired positionals, so the old call
+        # passed it positionally too.
+        "refute_finitely": (refute_finitely, ([mvd], fd, ABC, ()), search_keywords),
+        "ImplicationEngine": (
+            ImplicationEngine,
+            (ABC,),
+            ("max_steps", "max_rows", "finite_search_rows", "finite_search_domain"),
+        ),
+    }
+
+
+class TestRetiredCallStyles:
+    """Limits travel only in budget objects: the old call styles fail loudly."""
+
+    @pytest.mark.parametrize("style", ["keyword", "positional"])
+    @pytest.mark.parametrize("entry", sorted(_budgeted_entry_points()))
+    def test_old_budget_arguments_raise_type_error(self, entry, style):
+        function, positionals, retired = _budgeted_entry_points()[entry]
+        if style == "keyword":
+            for name in retired:
+                with pytest.raises(TypeError, match=name):
+                    function(*positionals, **{name: 4})
+        else:
+            # A number in the old budget slot must not bind to whatever
+            # parameter follows it now (``trace``, ``typed_universe``, ...).
+            with pytest.raises(TypeError, match="positional"):
+                function(*positionals, 4)
 
 
 class TestServiceConfig:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.api import Solver
-from repro.api.identity import IDENTITY_MODES, ProblemIdentity, identity_of, problem_key
+from repro.api.identity import IDENTITY_MODES, ProblemIdentity, identity_of
 from repro.config import SolverConfig
 from repro.dependencies import FunctionalDependency
 from repro.implication.problem import ImplicationProblem
@@ -109,26 +109,17 @@ class TestSolverIdentity:
         assert base.cache_key != other_universe.cache_key
 
 
-class TestDeprecationShim:
-    def test_problem_key_warns_and_returns_the_legacy_tuple(self):
-        problem = make_problem()
-        with pytest.warns(DeprecationWarning, match="identity_of"):
-            key = problem_key(problem)
-        assert key == (problem.premises, problem.conclusion, problem.finite)
-
-    def test_legacy_import_paths_still_work(self):
-        import repro.api
-        import repro.api.batch
-
-        assert repro.api.problem_key is problem_key
-        assert repro.api.batch.problem_key is problem_key
-
-    def test_solver_accepts_the_legacy_tuple_key(self):
+class TestStoreKeys:
+    def test_solver_keys_on_identities_and_problems_only(self):
         solver = Solver(
             universe=ABCD_NAMES,
             config=SolverConfig().with_cache(store="memory"),
         )
         outcome = solver.implies(["A -> B"], "A ->> B")
         problem = solver.problem(["A -> B"], "A ->> B")
-        legacy = (problem.premises, problem.conclusion, problem.finite)
-        assert solver.cached_outcome(legacy) == outcome
+        assert solver.cached_outcome(problem) == outcome
+        assert solver.cached_outcome(solver.identity(problem)) == outcome
+        with pytest.raises(TypeError):
+            solver.cached_outcome(
+                (problem.premises, problem.conclusion, problem.finite)
+            )

@@ -31,7 +31,6 @@ from repro.chase import (
     checkpoint_counters,
     load_checkpoint,
     log_status,
-    register_migration,
     resume_chase,
     scan_resumable,
     validate_token,
@@ -44,7 +43,6 @@ from repro.chase.checkpoint import (
     ERR_TRUNCATED,
     LOG_SUFFIX,
     SCHEMA_VERSION,
-    _MIGRATIONS,
     CheckpointError,
 )
 from repro.config import ChaseBudget, CheckpointConfig
@@ -379,40 +377,24 @@ class TestLoudFailures:
         lines[0] = json.dumps(header) + "\n"
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
-        assert 0 not in _MIGRATIONS
         with pytest.raises(CheckpointError) as excinfo:
             load_checkpoint(token, directory=str(directory))
         assert excinfo.value.code == ERR_SCHEMA
 
-
-# -- schema migration hook ----------------------------------------------------
-
-
-class TestMigration:
-    def test_registered_migration_upgrades_old_logs(self, exhausted_log):
+    def test_boolean_schema_fails_loudly(self, exhausted_log):
+        # JSON ``true`` loads as ``True``, which equals 1 and is an ``int``.
         token, directory = exhausted_log
-        straight_point = load_checkpoint(token, directory=str(directory))
         path = os.path.join(directory, token)
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
         header = json.loads(lines[0])
-        header["schema"] = 0
+        header["schema"] = True
         lines[0] = json.dumps(header) + "\n"
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
-
-        def upgrade(record: dict) -> dict:
-            if record.get("type") == "header":
-                record["schema"] = 1
-            return record
-
-        register_migration(0, upgrade)
-        try:
-            migrated = load_checkpoint(token, directory=str(directory))
-        finally:
-            _MIGRATIONS.pop(0, None)
-        assert migrated.steps == straight_point.steps
-        assert migrated.state.relation == straight_point.state.relation
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(token, directory=str(directory))
+        assert excinfo.value.code == ERR_SCHEMA
 
 
 # -- the committed schema-1 fixture -------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import FiniteSearchBudget
+from repro.config import ChaseBudget, FiniteSearchBudget
 from repro.dependencies import FunctionalDependency, MultivaluedDependency
 from repro.implication import (
     candidate_relations,
@@ -118,6 +118,6 @@ def test_seed_repair_respects_chase_strategy(abc, strategy):
         abc,
         seeds=[near_miss],
         budget=FiniteSearchBudget(max_rows=1, domain_size=1),
-        chase_strategy=strategy,
+        chase_budget=ChaseBudget(chase_strategy=strategy),
     )
     assert found is not None and len(found) == 4

@@ -34,7 +34,7 @@ class RecordingDispatch:
         self.fail = fail
         self.batches = []
 
-    async def __call__(self, problems):
+    async def __call__(self, problems, deadline=None):
         self.batches.append(list(problems))
         if self.delay:
             await asyncio.sleep(self.delay)
@@ -150,7 +150,7 @@ class TestBackpressureAndFailure:
         solver = Solver(universe=UNIVERSE, use_cache=False)
         observed = []
 
-        async def dispatch(problems):
+        async def dispatch(problems, deadline=None):
             await asyncio.sleep(0.02)
             return [solver.solve(problem) for problem in problems]
 
@@ -245,7 +245,7 @@ class TestDrain:
         run(scenario())
 
     def test_constructor_validates_its_knobs(self):
-        async def dispatch(problems):  # pragma: no cover - never invoked
+        async def dispatch(problems, deadline=None):  # pragma: no cover - never invoked
             return []
 
         with pytest.raises(ValueError):

@@ -309,11 +309,14 @@ class TestSharedStore:
         assert_cold_answers(answers, cold_bytes("ABC", FD))
         assert failed
         # The fault shows as solves that were never stored: neither request
-        # hit, both were solved, and no put went through.
+        # hit, both were solved, no put went through, and the dropped writes
+        # are counted.  No staging file is left behind.
         assert metrics["store"]["puts"] == 0
         assert metrics["store"]["hits"] == 0
+        assert metrics["store"]["write_errors"] > 0
         assert metrics["solver"]["solved"] == 2
         assert names_ending(tmp_path, ".pkl") == []
+        assert names_ending(tmp_path, ".tmp") == []
 
     def test_failed_staging_file_still_answers(self, tmp_path, monkeypatch):
         directory = os.path.abspath(tmp_path)
@@ -327,7 +330,9 @@ class TestSharedStore:
         answers, metrics = solve_all(self._config(tmp_path), FD)
         assert_cold_answers(answers, cold_bytes("ABC", FD))
         assert metrics["store"]["puts"] == 0
+        assert metrics["store"]["write_errors"] > 0
         assert metrics["solver"]["solved"] == 1
+        assert names_ending(tmp_path, ".tmp") == []
 
 
 class TestMetricsSidecar:
@@ -342,10 +347,11 @@ class TestMetricsSidecar:
         answers, metrics = solve_all(config, FD, times=2)
         assert_cold_answers(answers, cold_bytes("ABC", FD))
         assert failed
-        # The fault shows as a fleet view with no sidecar in it, while this
-        # worker's registry counts both solves; no torn or staged file is
-        # left for a scrape to read.
+        # The fault shows as a fleet view with no sidecar in it and counted
+        # failed flushes, while this worker's registry counts both solves;
+        # no torn or staged file is left for a scrape to read.
         assert metrics["workers"]["count"] == 0
+        assert metrics["workers"]["write_errors"] > 0
         served = [
             child["value"]
             for child in metrics["metrics"]["requests_total"]["children"]
