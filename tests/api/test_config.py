@@ -248,7 +248,6 @@ class TestChaseEngineBudgets:
         assert result.terminated()
 
 
-
 class TestImplicationEngineConfig:
     def test_config_object(self):
         config = SolverConfig(chase=ChaseBudget(max_steps=10, max_rows=10))
