@@ -252,7 +252,12 @@ class FileOutcomeStore(OutcomeStore):
     Each entry is one pickle file named by the identity digest, written
     atomically (:func:`~repro.util.atomic.write_atomically`), so concurrent
     workers see either the old entry or the new one, never a torn read.
-    TTL and the size bound are enforced against file mtimes on access.
+    TTL is enforced against file mtimes on access, and the size bound on
+    put: every ``max(1, max_entries // 64)``-th put of this process lists
+    the directory and evicts the oldest mtimes down to ``max_entries``.
+    Between those listings the directory can hold up to that many more
+    entries per writing process (64 per process at the 4,096 default),
+    which keeps a put's cost from growing with the store.
     Unreadable or corrupt entries degrade to misses, and a write the disk
     refuses is dropped and counted in ``stats.write_errors`` -- a shared
     cache must never be able to take the service down.
@@ -277,6 +282,8 @@ class FileOutcomeStore(OutcomeStore):
             raise ConfigError("ttl must be None or > 0")
         self._path = path
         self._max_entries = max_entries
+        self._prune_every = max(1, max_entries // 64)
+        self._puts_since_prune = 0
         self._ttl = ttl
         self._lock = threading.Lock()
         self._stats = StoreStats()
@@ -338,8 +345,11 @@ class FileOutcomeStore(OutcomeStore):
                 self._stats.write_errors += 1
             else:
                 self._stats.puts += 1
-                with contextlib.suppress(OSError):
-                    self._prune()
+                self._puts_since_prune += 1
+                if self._puts_since_prune >= self._prune_every:
+                    self._puts_since_prune = 0
+                    with contextlib.suppress(OSError):
+                        self._prune()
             finally:
                 self._flush_stats()
 
@@ -377,6 +387,7 @@ class FileOutcomeStore(OutcomeStore):
             return total
 
     def _prune(self) -> None:
+        """Evict the oldest entries (by mtime) down to ``max_entries``."""
         entries = []
         for name in os.listdir(self._path):
             if not name.endswith(".pkl"):

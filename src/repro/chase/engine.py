@@ -374,7 +374,7 @@ class ChaseEngine:
             alpha = is_active(state, trigger, compiled)
             if alpha is None:
                 continue
-            if steps >= self._max_steps or len(state.relation) >= self._max_rows:
+            if steps >= self._max_steps or len(state) >= self._max_rows:
                 return steps, True
             if compiled.is_td:
                 delta = apply_td_step(
@@ -470,7 +470,7 @@ class ChaseEngine:
             token = writer.footer(ChaseStatus.BUDGET_EXHAUSTED.value, steps, rounds)
         error = ChaseDeadlineExceeded(
             f"chase deadline exceeded after {steps} steps "
-            f"({len(state.relation)} rows)"
+            f"({len(state)} rows)"
         )
         error.checkpoint = token
         raise error
@@ -489,7 +489,7 @@ class ChaseEngine:
                 )
             error = ChaseBudgetExceeded(
                 f"chase budget exhausted after {steps} steps "
-                f"({len(state.relation)} rows)"
+                f"({len(state)} rows)"
             )
             error.checkpoint = token
             raise error

@@ -9,9 +9,10 @@ the delta-driven scheduling of
 makes the lookup O(|touched rows|): it maintains, alongside the tableau,
 
 * ``value_buckets`` -- for every value, the set of rows it occupies (any
-  column); egd merges pass this to the
-  :meth:`repro.model.relations.Relation.rows_containing` fast path to find
-  the rows to rewrite;
+  column); an egd merge reads the replaced value's bucket, checked against
+  the state's live rows, to find the rows to rewrite (the same buckets
+  serve the :meth:`repro.model.relations.Relation.rows_containing` fast
+  path);
 * ``attr_buckets`` -- the ``(attribute, value) -> rows`` index that
   :func:`repro.model.valuations.homomorphisms` prunes candidate rows with;
   the incremental strategy's partial-match extension shares this structure
@@ -19,18 +20,17 @@ makes the lookup O(|touched rows|): it maintains, alongside the tableau,
 
 Both bucket families use insertion-ordered dicts as ordered sets, so
 incremental eviction is O(1) and iteration order stays deterministic.  The
-index is kept in sync by :meth:`repro.chase.steps.ChaseState.advance`, which
-applies every :class:`~repro.chase.steps.StepDelta` to it as the step
-installs the post-step relation -- a td delta inserts its one new row, an
+index is kept in sync by :meth:`repro.chase.steps.ChaseState.apply_delta`,
+which lands every :class:`~repro.chase.steps.StepDelta` on the state's live
+rows and on the index together -- a td delta inserts its one new row, an
 egd delta evicts the pre-rewrite rows and inserts the rewritten images.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
 from repro.model.attributes import Attribute
-from repro.model.relations import Relation
 from repro.model.tuples import Row
 from repro.model.values import Value
 
@@ -41,17 +41,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (steps imports us)
 class RowIndex:
     """Value -> rows and (attribute, value) -> rows indexes over one tableau.
 
-    Built with one scan of the relation; afterwards maintained purely from
-    step deltas via :meth:`apply_delta`, so a merge's cost is proportional to
-    the rows it touches, never to the tableau size.
+    Built with one scan of the rows (a relation, or the chase state's live
+    row set); afterwards maintained purely from step deltas via
+    :meth:`apply_delta`, so a merge's cost is proportional to the rows it
+    touches, never to the tableau size.
     """
 
     __slots__ = ("_attr_buckets", "_value_buckets")
 
-    def __init__(self, relation: Relation) -> None:
+    def __init__(self, rows: Iterable[Row]) -> None:
         self._attr_buckets: Dict[Tuple[Attribute, Value], Dict[Row, None]] = {}
         self._value_buckets: Dict[Value, Dict[Row, None]] = {}
-        for row in relation.rows:
+        for row in rows:
             self.add_row(row)
 
     # -- views -----------------------------------------------------------------
@@ -63,7 +64,7 @@ class RowIndex:
 
     @property
     def value_buckets(self) -> Dict[Value, Dict[Row, None]]:
-        """The value -> rows index ``Relation.rows_containing(index=)`` takes."""
+        """The value -> rows index egd merges (and ``rows_containing``) read."""
         return self._value_buckets
 
     # -- maintenance -----------------------------------------------------------

@@ -17,13 +17,14 @@ the step semantics (and so the steps can be unit-tested in isolation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.chase.row_index import RowIndex
 from repro.dependencies.egd import EqualityGeneratingDependency
 from repro.dependencies.td import TemplateDependency
+from repro.model.attributes import Universe
 from repro.model.relations import Relation
 from repro.model.tuples import Row
 from repro.model.valuations import Valuation, homomorphisms, row_embeddings
@@ -163,47 +164,89 @@ def compile_dependency(dependency: ChaseDependency) -> CompiledDependency:
     )
 
 
-@dataclass
 class ChaseState:
-    """Mutable chase state: the current tableau plus the merge bookkeeping.
+    """Mutable chase state: the live tableau plus the merge bookkeeping.
 
-    The state also owns the lazily-built :class:`~repro.chase.row_index.RowIndex`
-    over the tableau.  Steps install their post-step relation through
-    :meth:`advance`, which keeps the index synchronized from the step's delta;
-    code that assigns :attr:`relation` directly simply invalidates the index
-    (it is rebuilt, with one full scan, on the next :attr:`row_index` access).
+    The state owns one mutable set of the tableau's rows.  Each step lands
+    its delta on that set through :meth:`apply_delta`, at a cost
+    proportional to the rows the step changed, and on the lazily-built
+    :class:`~repro.chase.row_index.RowIndex` too.  :attr:`relation`
+    freezes the live rows into an immutable
+    :class:`~repro.model.relations.Relation` only when one is read (and
+    keeps it until the next step), so a relation read from the state never
+    changes under later steps.  Assigning :attr:`relation` replaces the
+    live rows and drops the index, which is rebuilt, with one full scan,
+    on the next :attr:`row_index` access.
     """
 
-    relation: Relation
-    fresh: FreshSupply
-    parent: Dict[Value, Value] = field(default_factory=dict)
-    _index: Optional[RowIndex] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _indexed_relation: Optional[Relation] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("fresh", "parent", "_universe", "_rows", "_frozen", "_index")
+
+    def __init__(
+        self,
+        relation: Relation,
+        fresh: FreshSupply,
+        parent: Optional[Dict[Value, Value]] = None,
+    ) -> None:
+        self.fresh = fresh
+        self.parent: Dict[Value, Value] = {} if parent is None else parent
+        self.relation = relation
+
+    @property
+    def relation(self) -> Relation:
+        """The tableau as an immutable relation, frozen from the live rows."""
+        if self._frozen is None:
+            self._frozen = self._freeze()
+        return self._frozen
+
+    @relation.setter
+    def relation(self, relation: Relation) -> None:
+        self._universe = relation.universe
+        self._rows = set(relation.rows)
+        self._frozen = relation
+        self._index = None
+
+    @property
+    def universe(self) -> Universe:
+        """The universe the tableau is over."""
+        return self._universe
+
+    def __len__(self) -> int:
+        """The number of rows in the live tableau."""
+        return len(self._rows)
+
+    def __contains__(self, row: object) -> bool:
+        return row in self._rows
 
     @property
     def row_index(self) -> RowIndex:
         """The value/attribute -> rows index over the *current* tableau.
 
-        Built on first access (the one unavoidable full scan) and maintained
-        delta-by-delta through :meth:`advance` afterwards.  Identity-checked
-        against :attr:`relation`, so a direct ``state.relation = ...``
-        assignment can never serve stale buckets -- it just costs a rebuild.
+        Built from the live rows on first access (the one unavoidable full
+        scan) and maintained delta-by-delta through :meth:`apply_delta`
+        afterwards.
         """
-        if self._index is None or self._indexed_relation is not self.relation:
-            self._index = RowIndex(self.relation)
-            self._indexed_relation = self.relation
+        if self._index is None:
+            self._index = RowIndex(self._rows)
         return self._index
 
-    def advance(self, relation: Relation, delta: StepDelta) -> None:
-        """Install a post-step tableau, keeping the row index in sync."""
-        if self._index is not None and self._indexed_relation is self.relation:
+    def apply_delta(self, delta: StepDelta) -> None:
+        """Land one step's delta on the live rows and the row index.
+
+        An egd delta's pre-rewrite rows leave before the rewritten images
+        enter, the discipline of ``RowIndex.apply_delta``.
+        """
+        if delta.is_noop:
+            return
+        rows = self._rows
+        rows.difference_update(getattr(delta, "removed_rows", ()))
+        rows.update(delta.changed_rows)
+        if self._index is not None:
             self._index.apply_delta(delta)
-            self._indexed_relation = relation
-        self.relation = relation
+        self._frozen = None
+
+    def _freeze(self) -> Relation:
+        """A relation holding a copy of the live rows."""
+        return Relation._trusted(self._universe, _frozen_rows(self._rows))
 
     def find(self, value: Value) -> Value:
         """Current representative of ``value`` (union-find with path compression)."""
@@ -349,12 +392,12 @@ def apply_td_step(
     """
     if body_values is None:
         body_values = dependency.body.values()
-    relation = state.relation
+    universe = state.universe
     conclusion = dependency.conclusion
-    if conclusion.scheme != relation.universe.scheme:
+    if conclusion.scheme != universe.scheme:
         raise SchemaError(
             f"td conclusion {conclusion!r} is not over universe "
-            f"{''.join(a.name for a in relation.universe)}"
+            f"{''.join(a.name for a in universe)}"
         )
     fresh_for: Dict[Value, Value] = {}
     cells = []
@@ -374,8 +417,7 @@ def apply_td_step(
     # is valid for the conclusion's scheme, which is the tableau's.
     new_row = intern(_STEP_ROWS, conclusion._image(cells), limit=1 << 14)
     delta = TdDelta(row=new_row)
-    rows = relation.rows | {new_row}
-    state.advance(Relation._trusted(relation.universe, rows), delta)
+    state.apply_delta(delta)
     return delta
 
 
@@ -392,8 +434,9 @@ def apply_egd_step(
     broken by name, so repeated runs produce identical tableaux.
 
     The rows to rewrite are located through the state's persistent
-    value -> rows index (O(|touched rows|), not O(|tableau|)), so a long
-    merge cascade costs work proportional to the rows it actually rewrites.
+    value -> rows index, each checked against the live rows (O(|touched
+    rows|), not O(|tableau|)), so a long merge cascade costs work
+    proportional to the rows it actually rewrites.
 
     Returns the :class:`EgdDelta` recording the (kept, replaced) pair and the
     post-rewrite images of every row the merge touched.
@@ -408,11 +451,8 @@ def apply_egd_step(
     def substitute(value: Value) -> Value:
         return kept if value == replaced else value
 
-    removed = frozenset(
-        state.relation.rows_containing(
-            replaced, index=state.row_index.value_buckets
-        )
-    )
+    bucket = state.row_index.value_buckets.get(replaced, ())
+    removed = frozenset(row for row in bucket if row in state)
     # kept and replaced share a domain, so each image stays valid.
     changed = frozenset(
         row._image([substitute(value) for value in row]) for row in removed
@@ -420,8 +460,27 @@ def apply_egd_step(
     delta = EgdDelta(
         kept=kept, replaced=replaced, changed_rows=changed, removed_rows=removed
     )
-    state.advance(state.relation.substitute_rows(removed, changed), delta)
+    state.apply_delta(delta)
     return delta
+
+
+def _frozen_rows(rows: set) -> frozenset:
+    """``frozenset(rows)``, with a hash table no larger than it needs.
+
+    ``frozenset(s)`` sizes its table at the first power of two above
+    ``2 * len(s)``, so a power-of-two row count gets twice the table that
+    adding the last row to a frozenset of the others gives.  Outcome
+    caches keep chase results, and an mvd chain's tableau has ``2**(k-1)``
+    rows, so build those the smaller way.
+    """
+    count = len(rows)
+    if count < 8 or count & (count - 1):
+        return frozenset(rows)
+    last = rows.pop()
+    try:
+        return frozenset(rows).union((last,))
+    finally:
+        rows.add(last)
 
 
 def _choose_representative(

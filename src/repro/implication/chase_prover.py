@@ -55,12 +55,18 @@ def td_conclusion_holds(result: ChaseResult, conclusion: TemplateDependency) -> 
 
     Values of ``w`` that occur in the body are pinned to their current
     representatives; existential values of ``w`` may match anything of the
-    right type.
+    right type.  A total ``w`` (every value occurs in the body) has one
+    possible image, so one membership test decides it; ``w`` with
+    existential values is matched by a scan of the chased relation.
     """
     fixed: dict[Value, Value] = {
         value: result.resolve(value) for value in conclusion.body.values()
     }
-    return result.find_row(conclusion.conclusion, fixed) is not None
+    row = conclusion.conclusion
+    if all(value in fixed for value in row):
+        # The chase ran on the body, so the relation is over w's universe.
+        return row._image([fixed[value] for value in row]) in result.relation
+    return result.find_row(row, fixed) is not None
 
 
 def egd_conclusion_holds(

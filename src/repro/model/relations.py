@@ -51,10 +51,10 @@ class Relation:
         """Internal constructor skipping per-row scheme validation.
 
         Only for rows already validated against the same universe (set
-        algebra over existing relations, value substitution).  The public
-        constructor stays validating; the chase applies thousands of
-        single-row updates per run and must not re-validate the whole
-        tableau each time.
+        algebra over existing relations, value substitution, a chase
+        state's live rows).  The public constructor stays validating; a
+        chase freezes its tableau through here and must not re-validate
+        rows its steps built as images of rows it holds.
         """
         relation = cls.__new__(cls)
         relation._universe = universe
@@ -228,21 +228,6 @@ class Relation:
         for row in self._rows:
             new_rows.append(Row({a: mapping(v) for a, v in row.items()}))
         return Relation._trusted(self._universe, frozenset(new_rows))
-
-    def substitute_rows(
-        self, removed: Iterable[Row], replacements: Iterable[Row]
-    ) -> "Relation":
-        """Swap a set of rows for their rewritten images in one pass.
-
-        The egd step uses this instead of :meth:`map_values`: a merge touches
-        only the rows containing the replaced value, so rebuilding (and
-        re-validating) every row of the tableau per step would make merge
-        cascades quadratic in tableau size.  Replacement rows must be over
-        the same universe (they are images of existing rows).
-        """
-        return Relation._trusted(
-            self._universe, (self._rows - frozenset(removed)) | frozenset(replacements)
-        )
 
     def rename_attributes(
         self, renaming: Mapping[AttributeLike, AttributeLike]

@@ -176,6 +176,30 @@ class TestFileOutcomeStore:
         assert len(store) <= 3
         assert store.stats.evictions >= 3
 
+    def test_prune_lists_the_directory_once_per_period(self, tmp_path, monkeypatch):
+        # max_entries // 64 = 3: every third put lists, so the directory
+        # holds at most 3 entries over the bound between listings.
+        store = FileOutcomeStore(str(tmp_path), max_entries=192)
+        listings = []
+        listdir = os.listdir
+
+        def counting(path):
+            if os.fspath(path) == str(tmp_path):
+                listings.append(path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting)
+        puts = 400
+        for i in range(puts):
+            store.put(ident(f"s:{i}"), i)
+            os.utime(tmp_path / f"s_{i}.pkl", (i, i))
+            assert len(list(tmp_path.glob("*.pkl"))) <= 192 + 3
+        assert len(listings) == puts // 3
+        # Eviction still takes the oldest first: the newest 192 all remain.
+        remaining = {path.name for path in tmp_path.glob("*.pkl")}
+        assert {f"s_{i}.pkl" for i in range(puts - 192, puts)} <= remaining
+        assert store.stats.evictions == puts - len(remaining)
+
     def test_clear_removes_entries(self, tmp_path):
         store = FileOutcomeStore(str(tmp_path))
         store.put(ident("s:a"), "A")

@@ -6,16 +6,24 @@ answers coincide), and through the chase steps (after any sequence of
 td/egd steps the state-owned index answers exactly like a fresh full-scan
 rebuild, and an indexed egd merge rewrites exactly what a whole-tableau
 ``map_values`` rewrite would).
+
+The chase state's live row set, which the steps update in place, is
+checked the same way: against :func:`_reference_step`, the immutable set
+algebra it replaced, and by counting how often a budget-bound chase
+freezes it into a relation.
 """
 
 import random
 
 import pytest
 
-from repro.chase import RowIndex, chase
+from repro.chase import ChaseStatus, RowIndex, chase
 from repro.chase.steps import (
+    ChaseState,
+    TdDelta,
     apply_egd_step,
     apply_td_step,
+    compile_dependency,
     find_triggers,
     initial_state,
 )
@@ -336,3 +344,106 @@ class TestStrategySharing:
         assert result.terminated()
         rebuilt = RowIndex(result.relation)
         assert set(rebuilt.value_buckets) == result.relation.values()
+
+
+def _reference_step(before: Relation, delta) -> Relation:
+    """The post-step tableau by immutable set algebra.
+
+    A td step is the old rows plus the one it adds; an egd step rewrites
+    the replaced value everywhere.
+    """
+    if isinstance(delta, TdDelta):
+        return Relation(before.universe, before.rows | {delta.row})
+    return before.map_values(lambda v: delta.kept if v == delta.replaced else v)
+
+
+class TestLiveRowSet:
+    """The state's live row set against the set algebra it replaced."""
+
+    N_SEEDS = 150
+
+    def test_steps_match_the_reference_and_never_share_the_live_set(
+        self, random_case
+    ):
+        td_steps = egd_steps = 0
+        for seed in range(self.N_SEEDS):
+            instance, deps, _ = random_case(seed)
+            rng = random.Random(seed)
+            pristine = Relation(instance.universe, list(instance.rows))
+            state = initial_state(instance)
+            initial_values = instance.values()
+            compiled = [compile_dependency(dep) for dep in deps]
+            for _ in range(25):
+                before = state.relation
+                held = set(before.rows)
+                trigger = next(
+                    (
+                        t
+                        for cd in rng.sample(compiled, len(compiled))
+                        for t in find_triggers(state, cd)
+                    ),
+                    None,
+                )
+                if trigger is None:
+                    break
+                alpha = state.canonicalize(trigger.valuation)
+                if trigger.kind() == "td":
+                    delta = apply_td_step(state, trigger.dependency, alpha)
+                    td_steps += 1
+                else:
+                    delta = apply_egd_step(
+                        state, trigger.dependency, alpha, initial_values
+                    )
+                    egd_steps += 1
+                label = f"seed={seed} step={td_steps + egd_steps}"
+                assert state.relation == _reference_step(before, delta), label
+                assert len(state) == len(state.relation), label
+                assert before.rows == held, label
+                assert instance == pristine, label
+                # Sometimes only later, so the index is also built from
+                # live rows mid-run, not just maintained from the start.
+                if rng.random() < 0.5:
+                    assert _index_snapshot(state.row_index) == _index_snapshot(
+                        RowIndex(state.relation)
+                    ), label
+        assert td_steps >= 250, "td steps were barely exercised"
+        assert egd_steps >= 100, "egd steps were barely exercised"
+
+    def test_assignment_replaces_the_live_rows(self):
+        instance = Relation.typed(ABC, [["a", "b1", "c1"]])
+        state = initial_state(instance)
+        replacement = instance.with_rows([Row.typed_over(ABC, ["z", "z1", "z2"])])
+        state.relation = replacement
+        assert state.relation is replacement
+        assert len(state) == 2
+        assert Row.typed_over(ABC, ["z", "z1", "z2"]) in state
+
+
+class TestNoCopyGate:
+    """A budget-bound chase on the default path freezes its tableau a fixed
+    number of times, not once per step.  Counted, never timed."""
+
+    AB = Universe.from_names("AB")
+
+    def test_successor_chase_freezes_a_fixed_number_of_times(self, monkeypatch):
+        freezes = []
+        freeze = ChaseState._freeze
+
+        def counting(state):
+            freezes.append(len(state))
+            return freeze(state)
+
+        monkeypatch.setattr(ChaseState, "_freeze", counting)
+        successor = TemplateDependency(
+            Row.untyped_over(self.AB, ["y", "z"]),
+            Relation.untyped(self.AB, [["x", "y"]]),
+        )
+        chain = Relation.untyped(
+            self.AB, [[f"v{i}", f"v{i + 1}"] for i in range(5)]
+        )
+        result = chase(chain, [successor], budget=ChaseBudget(max_steps=2000))
+        assert result.status is ChaseStatus.BUDGET_EXHAUSTED
+        assert result.steps == 2000
+        assert result.kernel == "bitset"
+        # One freeze builds the result; a per-step copy would be 2,000.
+        assert len(freezes) <= 2, freezes
