@@ -409,15 +409,6 @@ class TestLiveRowSet:
         assert td_steps >= 250, "td steps were barely exercised"
         assert egd_steps >= 100, "egd steps were barely exercised"
 
-    def test_assignment_replaces_the_live_rows(self):
-        instance = Relation.typed(ABC, [["a", "b1", "c1"]])
-        state = initial_state(instance)
-        replacement = instance.with_rows([Row.typed_over(ABC, ["z", "z1", "z2"])])
-        state.relation = replacement
-        assert state.relation is replacement
-        assert len(state) == 2
-        assert Row.typed_over(ABC, ["z", "z1", "z2"]) in state
-
 
 class TestNoCopyGate:
     """A budget-bound chase on the default path freezes its tableau a fixed
