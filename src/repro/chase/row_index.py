@@ -9,10 +9,9 @@ the delta-driven scheduling of
 makes the lookup O(|touched rows|): it maintains, alongside the tableau,
 
 * ``value_buckets`` -- for every value, the set of rows it occupies (any
-  column); an egd merge reads the replaced value's bucket, checked against
-  the state's live rows, to find the rows to rewrite (the same buckets
-  serve the :meth:`repro.model.relations.Relation.rows_containing` fast
-  path);
+  column); an egd merge finds the rows to rewrite with
+  :meth:`RowIndex.rows_containing`, the replaced value's bucket checked
+  against the state's live rows;
 * ``attr_buckets`` -- the ``(attribute, value) -> rows`` index that
   :func:`repro.model.valuations.homomorphisms` prunes candidate rows with;
   the incremental strategy's partial-match extension shares this structure
@@ -28,7 +27,7 @@ egd delta evicts the pre-rewrite rows and inserts the rewritten images.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Container, Dict, FrozenSet, Iterable, Tuple
 
 from repro.model.attributes import Attribute
 from repro.model.tuples import Row
@@ -64,8 +63,21 @@ class RowIndex:
 
     @property
     def value_buckets(self) -> Dict[Value, Dict[Row, None]]:
-        """The value -> rows index egd merges (and ``rows_containing``) read."""
+        """The value -> rows index :meth:`rows_containing` reads."""
         return self._value_buckets
+
+    # -- lookup ----------------------------------------------------------------
+
+    def rows_containing(self, value: Value, live: Container[Row]) -> FrozenSet[Row]:
+        """The rows of ``live`` in which ``value`` occurs (in any column).
+
+        Costs O(|bucket|): the value's bucket, each row checked against
+        ``live`` (the rows the tableau holds), so a slightly stale bucket
+        can miss nothing it lists and never yields a phantom row.
+        """
+        return frozenset(
+            row for row in self._value_buckets.get(value, ()) if row in live
+        )
 
     # -- maintenance -----------------------------------------------------------
 

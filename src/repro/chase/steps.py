@@ -451,8 +451,7 @@ def apply_egd_step(
     def substitute(value: Value) -> Value:
         return kept if value == replaced else value
 
-    bucket = state.row_index.value_buckets.get(replaced, ())
-    removed = frozenset(row for row in bucket if row in state)
+    removed = state.row_index.rows_containing(replaced, state)
     # kept and replaced share a domain, so each image stays valid.
     changed = frozenset(
         row._image([substitute(value) for value in row]) for row in removed
@@ -476,11 +475,9 @@ def _frozen_rows(rows: set) -> frozenset:
     count = len(rows)
     if count < 8 or count & (count - 1):
         return frozenset(rows)
-    last = rows.pop()
-    try:
-        return frozenset(rows).union((last,))
-    finally:
-        rows.add(last)
+    rest = set(rows)
+    last = rest.pop()
+    return frozenset(rest).union((last,))
 
 
 def _choose_representative(

@@ -20,11 +20,13 @@ from typing import Optional, Sequence
 
 from repro.chase.engine import ChaseEngine
 from repro.chase.result import ChaseResult, ChaseStatus
+from repro.chase.steps import compile_dependency, td_is_violated
 from repro.config import ChaseBudget
 from repro.dependencies.egd import EqualityGeneratingDependency
 from repro.dependencies.td import TemplateDependency
 from repro.implication.normalize import ChaseDependency
 from repro.implication.problem import ImplicationOutcome, Verdict
+from repro.model.valuations import Valuation
 from repro.model.values import Value
 
 
@@ -55,18 +57,16 @@ def td_conclusion_holds(result: ChaseResult, conclusion: TemplateDependency) -> 
 
     Values of ``w`` that occur in the body are pinned to their current
     representatives; existential values of ``w`` may match anything of the
-    right type.  A total ``w`` (every value occurs in the body) has one
-    possible image, so one membership test decides it; ``w`` with
-    existential values is matched by a scan of the chased relation.
+    right type.  The chase's own violation test decides it, so a total
+    ``w`` (every value occurs in the body) costs one membership test and
+    ``w`` with existential values a scan of the chased relation.
     """
     fixed: dict[Value, Value] = {
         value: result.resolve(value) for value in conclusion.body.values()
     }
-    row = conclusion.conclusion
-    if all(value in fixed for value in row):
-        # The chase ran on the body, so the relation is over w's universe.
-        return row._image([fixed[value] for value in row]) in result.relation
-    return result.find_row(row, fixed) is not None
+    return not td_is_violated(
+        compile_dependency(conclusion), Valuation(fixed), result.relation
+    )
 
 
 def egd_conclusion_holds(

@@ -149,11 +149,13 @@ class Relation:
         """The rows in which ``value`` occurs (in any column).
 
         Without ``index`` this is a full scan.  ``index`` is a value -> rows
-        mapping maintained alongside the relation (the chase passes its
+        mapping maintained alongside the relation (such as
         :attr:`repro.chase.row_index.RowIndex.value_buckets`); with it the
         lookup costs O(|result|) -- each candidate is still membership-checked
         against the relation, so a slightly-stale index degrades to missing
-        nothing that it lists, never to phantom rows.
+        nothing that it lists, never to phantom rows.  The chase's egd step
+        uses :meth:`repro.chase.row_index.RowIndex.rows_containing`, which
+        checks against the live tableau instead of a frozen relation.
         """
         if index is not None:
             bucket = index.get(value, ())

@@ -14,6 +14,7 @@ freezes it into a relation.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -21,13 +22,14 @@ from repro.chase import ChaseStatus, RowIndex, chase
 from repro.chase.steps import (
     ChaseState,
     TdDelta,
+    _frozen_rows,
     apply_egd_step,
     apply_td_step,
     compile_dependency,
     find_triggers,
     initial_state,
 )
-from repro.config import ChaseBudget
+from repro.config import ChaseBudget, CheckpointConfig
 from repro.dependencies import (
     EqualityGeneratingDependency,
     FunctionalDependency,
@@ -409,6 +411,23 @@ class TestLiveRowSet:
         assert td_steps >= 250, "td steps were barely exercised"
         assert egd_steps >= 100, "egd steps were barely exercised"
 
+    @pytest.mark.parametrize("count", [5, 8, 12, 16, 64])
+    def test_frozen_rows_table_is_no_larger_than_a_copy(self, count):
+        ab = Universe.from_names("AB")
+        live = set(
+            Relation.untyped(ab, [[f"a{i}", f"b{i}"] for i in range(count)]).rows
+        )
+        order = list(live)
+        frozen = _frozen_rows(live)
+        assert frozen == frozenset(order)
+        assert list(live) == order, "freezing must only read the live set"
+        copied = sys.getsizeof(frozenset(live))
+        if count & (count - 1):
+            assert sys.getsizeof(frozen) == copied
+        else:
+            # frozenset(s) sizes a power-of-two count at twice the table.
+            assert sys.getsizeof(frozen) < copied
+
 
 class TestNoCopyGate:
     """A budget-bound chase on the default path freezes its tableau a fixed
@@ -432,7 +451,11 @@ class TestNoCopyGate:
         chain = Relation.untyped(
             self.AB, [[f"v{i}", f"v{i + 1}"] for i in range(5)]
         )
-        result = chase(chain, [successor], budget=ChaseBudget(max_steps=2000))
+        # Checkpoint snapshots freeze the tableau too (one per interval),
+        # so the gate pins logging off rather than inherit it from the
+        # environment.
+        budget = ChaseBudget(max_steps=2000, checkpoint=CheckpointConfig(mode="off"))
+        result = chase(chain, [successor], budget=budget)
         assert result.status is ChaseStatus.BUDGET_EXHAUSTED
         assert result.steps == 2000
         assert result.kernel == "bitset"
