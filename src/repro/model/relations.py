@@ -9,7 +9,7 @@ distinction of Section 2.4.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.model.attributes import Attribute, AttributeLike, Universe, as_attribute
 from repro.model.tuples import Row, rows_over
@@ -141,12 +141,25 @@ class Relation:
             collected.update(row.values())
         return frozenset(collected)
 
-    def rows_containing(self, value: Value) -> tuple[Row, ...]:
-        """The rows in which ``value`` occurs (in any column), by a full scan.
+    def rows_containing(
+        self,
+        value: Value,
+        index: Optional[Mapping[Value, Iterable[Row]]] = None,
+    ) -> tuple[Row, ...]:
+        """The rows in which ``value`` occurs (in any column).
 
-        The chase keeps a value -> rows index over its tableau instead
-        (:meth:`repro.chase.row_index.RowIndex.rows_containing`).
+        Without ``index`` this is a full scan.  ``index`` is a value -> rows
+        mapping maintained alongside the relation (such as
+        :attr:`repro.chase.row_index.RowIndex.value_buckets`); with it the
+        lookup costs O(|result|) -- each candidate is still membership-checked
+        against the relation, so a slightly-stale index degrades to missing
+        nothing that it lists, never to phantom rows.  The chase's egd step
+        uses :meth:`repro.chase.row_index.RowIndex.rows_containing`, which
+        checks against the live tableau instead of a frozen relation.
         """
+        if index is not None:
+            bucket = index.get(value, ())
+            return tuple(row for row in bucket if row in self._rows)
         return tuple(row for row in self._rows if value in row.values())
 
     def is_typed(self) -> bool:

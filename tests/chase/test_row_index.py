@@ -1,9 +1,8 @@
 """Tests for the value -> rows index behind delta-proportional egd merges.
 
 The index is validated three ways: directly (bucket maintenance under
-add/discard), through :meth:`RowIndex.rows_containing` (its answers
-coincide with :meth:`Relation.rows_containing`'s scan), and through the
-chase steps (after any sequence of
+add/discard), through :meth:`Relation.rows_containing` (indexed vs. scan
+answers coincide), and through the chase steps (after any sequence of
 td/egd steps the state-owned index answers exactly like a fresh full-scan
 rebuild, and an indexed egd merge rewrites exactly what a whole-tableau
 ``map_values`` rewrite would).
@@ -98,24 +97,25 @@ class TestRowsContaining:
         index = RowIndex(relation)
         for value in relation.values():
             scanned = set(relation.rows_containing(value))
-            assert index.rows_containing(value, relation) == scanned
+            indexed = set(relation.rows_containing(value, index=index.value_buckets))
+            assert scanned == indexed
 
     def test_stale_index_entries_are_filtered_by_membership(self):
         relation = Relation.typed(ABC, [["a", "b1", "c1"], ["a", "b2", "c2"]])
         index = RowIndex(relation)
         smaller = relation.without_rows([next(iter(relation))])
-        # The index still lists the dropped row; the lookup must not.
+        # The index still lists the dropped row; the fast path must not.
         for value in smaller.values():
-            assert index.rows_containing(value, smaller) == set(
-                smaller.rows_containing(value)
-            )
+            assert set(
+                smaller.rows_containing(value, index=index.value_buckets)
+            ) == set(smaller.rows_containing(value))
 
     def test_missing_value_yields_empty(self):
         relation = Relation.typed(ABC, [["a", "b1", "c1"]])
         index = RowIndex(relation)
         ghost = typed("ghost", "A")
         assert relation.rows_containing(ghost) == ()
-        assert index.rows_containing(ghost, relation) == frozenset()
+        assert relation.rows_containing(ghost, index=index.value_buckets) == ()
 
 
 class TestChaseStateIndex:
