@@ -117,6 +117,19 @@ class TestRowsContaining:
         assert relation.rows_containing(ghost) == ()
         assert relation.rows_containing(ghost, index=index.value_buckets) == ()
 
+    def test_row_index_lookup_keeps_only_the_rows_held(self):
+        relation = random_typed_relation(ABC, rows=8, domain_size=3, seed=7)
+        index = RowIndex(relation)
+        smaller = relation.without_rows([next(iter(relation))])
+        for value in relation.values():
+            scanned = set(relation.rows_containing(value))
+            assert index.rows_containing(value, relation) == scanned
+            # The index still lists the dropped row; the lookup must not.
+            scanned = set(smaller.rows_containing(value))
+            assert index.rows_containing(value, smaller) == scanned
+        ghost = typed("ghost", "A")
+        assert index.rows_containing(ghost, relation) == frozenset()
+
 
 class TestChaseStateIndex:
     def test_lazy_build_and_identity_check(self):
