@@ -101,8 +101,10 @@ class ChaseResult:
     def find_row(self, pattern: Row, fixed: Mapping[Value, Value]) -> Optional[Row]:
         """Find a row matching ``pattern`` under the partial binding ``fixed``.
 
-        Used by the implication procedures to test whether a td conclusion
-        embeds into the chase result.
+        A scan of the chased relation that returns the witness row of a td
+        conclusion's embedding, or ``None``.  The implication procedures
+        decide embedding, without a witness, through
+        :func:`repro.chase.steps.td_is_violated`.
         """
         scheme = pattern.scheme
         for row in self.relation:
